@@ -24,6 +24,7 @@ from .errors import (
     SingularLeadingTermError,
     TruncationOrderError,
     UnsupportedShapeError,
+    WitnessVerificationError,
 )
 from .feasibility import (
     FeasibilityResult,
@@ -42,8 +43,6 @@ from .invariants import (
     homogeneous_invariants_closed,
     invariants_at_zero,
     normalize,
-    tilde_a_closed,
-    tilde_a_general,
     transport_eigenvalues,
 )
 from .kernels import (
@@ -61,7 +60,7 @@ from .kernels import (
     spec_from_dict,
     spec_to_dict,
 )
-from .mobius import MobiusMap, cocycle_c, mobius_apply, mobius_compose, mobius_inverse
+from .mobius import MobiusMap, cocycle_c, mobius_compose, mobius_inverse
 from .oracle import (
     FDConfig,
     covd_zbar_fd,
@@ -72,13 +71,6 @@ from .oracle import (
     oracle_invariants_at_zero,
     to_orthonormal_frame,
 )
-from .series import (
-    DEFAULT_ORDER,
-    MatrixPowerSeries2,
-    hermitian_symmetry_defect,
-    series_evaluate,
-    series_invert,
-    series_multiply,
-)
+from .series import DEFAULT_ORDER, MatrixPowerSeries2
 
 __version__ = "0.1.0"

@@ -19,14 +19,16 @@ import sys
 
 import numpy as np
 
-from .equivalence import Verdict, full_report
+from .equivalence import TOLERANCES, Verdict, full_report
 from .errors import (
     DiscDomainError,
     MetricDegeneracyError,
     SingularLeadingTermError,
+    TruncationOrderError,
+    WitnessVerificationError,
 )
 from .feasibility import permutation_analysis, rank2_feasibility, solve_triple
-from .invariants import invariants_at_zero
+from .invariants import INVARIANT_ORDER, invariants_at_zero
 from .kernels import kernel_taylor, spec_from_dict, spec_to_dict
 from .oracle import FDConfig, curvature_eigenvalues_fd, oracle_invariants_at_zero
 from .reproduce import SCENARIOS
@@ -44,6 +46,7 @@ _NUMERIC_ERRORS = (
     MetricDegeneracyError,
     SingularLeadingTermError,
     DiscDomainError,
+    WitnessVerificationError,
     np.linalg.LinAlgError,
 )
 
@@ -100,10 +103,17 @@ def _emit(report: dict) -> None:
     sys.stdout.write(canonical_json(report) + "\n")
 
 
+def _check_order(order: int) -> None:
+    """--order is accepted and echoed in reports; the answers read a fixed order."""
+    if order < INVARIANT_ORDER:
+        raise TruncationOrderError(f"invariants at 0 need series order >= {INVARIANT_ORDER}")
+
+
 def cmd_invariants(args) -> int:
+    _check_order(args.order)
     spec = _load_spec(args.kernel)
     cfg = FDConfig(step=args.fd_step)
-    inv = invariants_at_zero(kernel_taylor(spec, args.order))
+    inv = invariants_at_zero(kernel_taylor(spec, INVARIANT_ORDER))
     oracle = oracle_invariants_at_zero(spec, cfg)
     residuals = {
         "curvature": float(np.abs(inv.curvature - oracle["curvature"]).max()),
@@ -140,9 +150,10 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    _check_order(args.order)
     left = _load_spec(args.left)
     right = _load_spec(args.right)
-    report = full_report(left, right, order=args.order)
+    report = full_report(left, right)
     doc = {
         "schema": SCHEMA,
         "command": "equiv",
@@ -156,7 +167,7 @@ def cmd_equiv(args) -> int:
         "witness": matrix_json(report.witness) if report.witness is not None else None,
         "witness_claims": list(report.witness_claims),
         "annotations": list(report.annotations),
-        "tolerances": {"eig": 1e-7, "zero": 1e-9, "intertwine": 1e-8, "unitary": 1e-10},
+        "tolerances": TOLERANCES,
     }
     _emit(doc)
     if report.verdict is Verdict.EQUIVALENT:

@@ -34,10 +34,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UnsupportedShapeError
-from .invariants import PointInvariants, invariants_at_zero
+from .errors import UnsupportedShapeError, WitnessVerificationError
+from .invariants import INVARIANT_ORDER, PointInvariants, invariants_at_zero
 from .kernels import KernelSpec, kernel_taylor
-from .series import DEFAULT_ORDER
 
 
 class Verdict(str, Enum):
@@ -50,6 +49,8 @@ TOL_EIG = 1e-7
 TOL_ZERO = 1e-9
 TOL_INTERTWINE = 1e-8
 TOL_UNITARY = 1e-10
+TOLERANCES = {"eig": TOL_EIG, "zero": TOL_ZERO,
+              "intertwine": TOL_INTERTWINE, "unitary": TOL_UNITARY}
 
 
 @dataclass(frozen=True)
@@ -173,13 +174,21 @@ def _permutation_matrix_for_map(c, n: int) -> np.ndarray:
     return p
 
 
+def _require(residual: float, tol: float, what: str) -> None:
+    if not residual <= tol:  # a NaN residual fails too
+        raise WitnessVerificationError(
+            f"witness fails the {what} check ({residual:.3e} > {tol:.3e})")
+
+
 def _verify_witness(U, K1, K2, T1, T2, claims):
     n = U.shape[0]
-    assert np.abs(U.conj().T @ U - np.eye(n)).max() <= TOL_UNITARY
+    _require(np.abs(U.conj().T @ U - np.eye(n)).max(), TOL_UNITARY, "unitarity")
     if "curvature" in claims:
-        assert np.abs(U @ K1 - K2 @ U).max() <= TOL_INTERTWINE * max(1.0, np.abs(K1).max())
+        _require(np.abs(U @ K1 - K2 @ U).max(),
+                 TOL_INTERTWINE * max(1.0, np.abs(K1).max()), "curvature")
     if "d_zbar" in claims:
-        assert np.abs(U @ T1 - T2 @ U).max() <= TOL_INTERTWINE * max(1.0, np.abs(T1).max(), 1.0)
+        _require(np.abs(U @ T1 - T2 @ U).max(),
+                 TOL_INTERTWINE * max(1.0, np.abs(T1).max()), "d_zbar")
 
 
 def simultaneous_pair_equiv(
@@ -386,7 +395,7 @@ def zzbar_distinguishes(
     return True
 
 
-def full_report(spec1: KernelSpec, spec2: KernelSpec, order: int = DEFAULT_ORDER) -> EquivalenceReport:
+def full_report(spec1: KernelSpec, spec2: KernelSpec) -> EquivalenceReport:
     """Taylor -> invariants at 0 -> pair decider -> (1,1) distinguisher."""
     if spec1.rank != spec2.rank:
         return EquivalenceReport(
@@ -398,8 +407,8 @@ def full_report(spec1: KernelSpec, spec2: KernelSpec, order: int = DEFAULT_ORDER
                 "reason": f"bundle ranks differ ({spec1.rank} vs {spec2.rank})",
             },
         )
-    inv1 = invariants_at_zero(kernel_taylor(spec1, order))
-    inv2 = invariants_at_zero(kernel_taylor(spec2, order))
+    inv1 = invariants_at_zero(kernel_taylor(spec1, INVARIANT_ORDER))
+    inv2 = invariants_at_zero(kernel_taylor(spec2, INVARIANT_ORDER))
     report = simultaneous_pair_equiv(inv1, inv2)
 
     notes = ()

@@ -28,3 +28,7 @@ class UnsupportedShapeError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Inverse-problem input makes a required division degenerate."""
+
+
+class WitnessVerificationError(ArithmeticError):
+    """A constructed equivalence witness fails its unitarity or intertwining check."""

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInputError
-from .invariants import invariants_at_zero
+from .invariants import INVARIANT_ORDER, invariants_at_zero
 from .kernels import Homogeneous, kernel_taylor
 
 IDENTITY = (1, 2, 3)
@@ -180,13 +180,13 @@ def rank2_feasibility(delta1: float, delta2: float) -> Optional[tuple]:
     return (lam, mu1_sq)
 
 
-def roundtrip_check(delta, order: int = 3) -> float:
+def roundtrip_check(delta) -> float:
     """Residual of [prescribe diagonal -> solve -> rebuild kernel -> read diagonal]."""
     res = solve_triple(delta)
     if not res.feasible:
         raise DegenerateInputError(f"triple {tuple(delta)} is not feasible")
     lam = res.params[0]
     spec = Homogeneous(lam=lam, mu=res.mu_vector(), m=2)
-    inv = invariants_at_zero(kernel_taylor(spec, order))
+    inv = invariants_at_zero(kernel_taylor(spec, INVARIANT_ORDER))
     diag = np.real(np.diag(inv.curvature))
     return float(np.abs(diag - np.asarray(delta, dtype=float)).max())

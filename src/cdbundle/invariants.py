@@ -28,6 +28,8 @@ from .kernels import TriangularData, shift_matrix, weighted_shift
 from .series import MatrixPowerSeries2, assert_hermitian, hermitian_sqrt
 
 CURVATURE_HERM_TOL = 1e-10
+# The highest lattice index the invariants at 0 read: a~[1,1], a~[1,2], a~[2,2].
+INVARIANT_ORDER = 2
 
 
 @dataclass(frozen=True)
@@ -78,73 +80,11 @@ def normalize(K: MatrixPowerSeries2) -> MatrixPowerSeries2:
     return left.multiply(K).multiply(right).sandwich(half, half)
 
 
-def tilde_a_closed(K: MatrixPowerSeries2, which: str) -> np.ndarray:
-    """Closed-form normalized coefficients a~[1,1], a~[1,2], a~[2,2].
-
-    Direct matrix algebra on the first few kernel coefficients; must agree
-    with the corresponding coefficient of :func:`normalize` (cross-checked
-    in the test suite at 1e-11).
-    """
-    if K.order < 2:
-        raise TruncationOrderError("closed coefficient formulas need order >= 2")
-    a00 = K.coeff(0, 0)
-    a00_inv = np.linalg.inv(a00)
-    root_inv = np.linalg.inv(hermitian_sqrt(assert_hermitian(a00, what="a00")))
-    a10, a01 = K.coeff(1, 0), K.coeff(0, 1)
-    a11, a12, a21 = K.coeff(1, 1), K.coeff(1, 2), K.coeff(2, 1)
-    a20, a02, a22 = K.coeff(2, 0), K.coeff(0, 2), K.coeff(2, 2)
-
-    schur = a11 - a10 @ a00_inv @ a01
-    if which == "a11":
-        inner = schur
-    elif which == "a12":
-        inner = a12 - schur @ a00_inv @ a01 - a10 @ a00_inv @ a02
-    elif which == "a22":
-        inner12 = a12 - schur @ a00_inv @ a01 - a10 @ a00_inv @ a02
-        inner = (
-            a22
-            + (a20 @ a00_inv @ a01 - a21) @ a00_inv @ a01
-            - a20 @ a00_inv @ a02
-            - a10 @ a00_inv @ inner12
-        )
-    else:
-        raise ValueError(f"which must be one of a11/a12/a22, got {which!r}")
-    return root_inv @ inner @ root_inv
-
-
-def tilde_a_general(K: MatrixPowerSeries2, k: int, l: int) -> np.ndarray:
-    """General formula for a~[k+1, l+1] from the kernel and inverse lattices.
-
-    a~[k+1,l+1] = a00^{1/2} ( sum_{s=1..k} sum_{t=1..l} b[s,0] a[k+1-s,l+1-t] b[0,t]
-                            + sum_{s=1..k} b[s,0] a[k+1-s,l+1] b[0,0]
-                            + sum_{t=1..l} b[0,0] a[k+1,l+1-t] b[0,t]
-                            + b[0,0] a[k+1,l+1] b[0,0]
-                            - b[k+1,0] a[0,0] b[0,l+1] ) a00^{1/2}
-    """
-    if K.order < max(k, l) + 1:
-        raise TruncationOrderError("series order too small for requested coefficient")
-    a = K.coeffs
-    b = K.invert().coeffs
-    half = hermitian_sqrt(assert_hermitian(K.coeff(0, 0), what="a00"))
-    n = K.rank
-    acc = np.zeros((n, n), dtype=complex)
-    for s in range(1, k + 1):
-        for t in range(1, l + 1):
-            acc += b[s, 0] @ a[k + 1 - s, l + 1 - t] @ b[0, t]
-    for s in range(1, k + 1):
-        acc += b[s, 0] @ a[k + 1 - s, l + 1] @ b[0, 0]
-    for t in range(1, l + 1):
-        acc += b[0, 0] @ a[k + 1, l + 1 - t] @ b[0, t]
-    acc += b[0, 0] @ a[k + 1, l + 1] @ b[0, 0]
-    acc -= b[k + 1, 0] @ a[0, 0] @ b[0, l + 1]
-    return half @ acc @ half
-
-
 def invariants_at_zero(K: MatrixPowerSeries2) -> PointInvariants:
     """Series-path invariants at 0: curvature, (0,1) and (1,1) derivatives."""
-    if K.order < 2:
-        raise TruncationOrderError("invariants at 0 need series order >= 2")
-    norm = normalize(K)
+    if K.order < INVARIANT_ORDER:
+        raise TruncationOrderError(f"invariants at 0 need series order >= {INVARIANT_ORDER}")
+    norm = normalize(K.truncate(INVARIANT_ORDER))
     a11 = norm.coeff(1, 1)
     a12 = norm.coeff(1, 2)
     a22 = norm.coeff(2, 2)
@@ -160,9 +100,7 @@ def covd_zbar_n_at_zero(K: MatrixPowerSeries2, n: int) -> np.ndarray:
     """(n+1)! a~[1, n+1]^t — the order-(0,n) covariant derivative at 0."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if K.order < n + 1:
-        raise TruncationOrderError(f"order {K.order} too small for n = {n}")
-    norm = normalize(K)
+    norm = normalize(K.truncate(n + 1))
     return math.factorial(n + 1) * norm.coeff(1, n + 1).T
 
 

@@ -457,8 +457,28 @@ def kernel_rank(spec: KernelSpec) -> int:
 
 # -- JSON wire format ------------------------------------------------------
 
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"'{key}' must be a number, got {value!r:.40}")
+    return float(value)
+
+
+def _integer(value, key: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"'{key}' must be an integer, got {value!r:.40}")
+    return value
+
+
+def _list(value, key: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"'{key}' must be a list, got {value!r:.40}")
+    return value
+
+
 def spec_from_dict(obj: dict) -> KernelSpec:
-    """Parse the normative JSON form; unknown fields are rejected."""
+    """Parse the normative JSON form; unknown fields and mistyped values are rejected."""
     if not isinstance(obj, dict):
         raise ValueError(f"kernel spec must be an object, got {type(obj).__name__}")
     if "type" not in obj:
@@ -476,21 +496,23 @@ def spec_from_dict(obj: dict) -> KernelSpec:
 
     if kind == "bergman":
         expect({"lambda"})
-        return BergmanPower(lam=float(obj["lambda"]))
+        return BergmanPower(lam=_number(obj["lambda"], "lambda"))
     if kind == "jet":
         expect({"alpha", "beta", "k"})
-        return Jet(alpha=float(obj["alpha"]), beta=float(obj["beta"]), k=int(obj["k"]))
+        return Jet(alpha=_number(obj["alpha"], "alpha"), beta=_number(obj["beta"], "beta"),
+                   k=_integer(obj["k"], "k"))
     if kind == "direct_sum":
         expect({"parts"})
-        return DirectSum([spec_from_dict(p) for p in obj["parts"]])
+        return DirectSum([spec_from_dict(p) for p in _list(obj["parts"], "parts")])
     if kind == "homogeneous":
         expect({"lambda", "mu", "m"})
-        return Homogeneous(lam=float(obj["lambda"]),
-                           mu=[float(x) for x in obj["mu"]], m=int(obj["m"]))
+        return Homogeneous(lam=_number(obj["lambda"], "lambda"),
+                           mu=[_number(x, "mu") for x in _list(obj["mu"], "mu")],
+                           m=_integer(obj["m"], "m"))
     if kind == "permuted":
         expect({"sigma", "inner"})
         return Permuted(inner=spec_from_dict(obj["inner"]),
-                        sigma=[int(s) for s in obj["sigma"]])
+                        sigma=[_integer(s, "sigma") for s in _list(obj["sigma"], "sigma")])
     raise ValueError(f"unknown kernel type '{kind}'")
 
 

@@ -60,10 +60,6 @@ class MobiusMap:
         return np.array([[self.t, -self.t * self.a], [-np.conj(self.a), 1.0]], dtype=complex)
 
 
-def mobius_apply(phi: MobiusMap, z: complex) -> complex:
-    return phi.apply(z)
-
-
 def mobius_inverse(phi: MobiusMap) -> MobiusMap:
     return phi.inverse()
 

@@ -21,7 +21,7 @@ from .feasibility import (
     roundtrip_check,
     solve_triple,
 )
-from .invariants import invariants_at_zero
+from .invariants import INVARIANT_ORDER, invariants_at_zero
 from .kernels import BergmanPower, DirectSum, Jet, kernel_taylor, weighted_shift
 from .oracle import FDConfig, curvature_eigenvalues_fd
 
@@ -67,8 +67,8 @@ def ds_jet_closed_forms(alpha: float, beta: float):
 def run_example1():
     records, notes = [], []
     s1, s2 = example1_pair()
-    inv1 = invariants_at_zero(kernel_taylor(s1, 4))
-    inv2 = invariants_at_zero(kernel_taylor(s2, 4))
+    inv1 = invariants_at_zero(kernel_taylor(s1, INVARIANT_ORDER))
+    inv2 = invariants_at_zero(kernel_taylor(s2, INVARIANT_ORDER))
 
     cfg = FDConfig()
     pts = [complex(x, y) for x in np.linspace(-0.45, 0.45, 5) for y in np.linspace(-0.45, 0.45, 5)]
@@ -96,8 +96,8 @@ def run_example2():
     for alpha in (1.0, 2.0):
         for beta in (1.0, 2.0):
             s1, s2 = example2_pair(alpha, beta)
-            inv1 = invariants_at_zero(kernel_taylor(s1, 4))
-            inv2 = invariants_at_zero(kernel_taylor(s2, 4))
+            inv1 = invariants_at_zero(kernel_taylor(s1, INVARIANT_ORDER))
+            inv2 = invariants_at_zero(kernel_taylor(s2, INVARIANT_ORDER))
             (K1, T1, Z1v), (K2, T2, Z2) = ds_jet_closed_forms(alpha, beta)
             dev = max(
                 float(np.abs(inv1.curvature - K1).max()),
@@ -120,8 +120,8 @@ def run_example2():
                  f"with {with_p2:.1e}, without {without:.1f}")
 
     s1, s2 = example2_pair(1.0, 2.0)
-    inv1 = invariants_at_zero(kernel_taylor(s1, 4))
-    inv2 = invariants_at_zero(kernel_taylor(s2, 4))
+    inv1 = invariants_at_zero(kernel_taylor(s1, INVARIANT_ORDER))
+    inv2 = invariants_at_zero(kernel_taylor(s2, INVARIANT_ORDER))
     pair = simultaneous_pair_equiv(inv1, inv2)
     _rec(records, "pair equivalent at the (curvature, (0,1)) level",
          pair.verdict is Verdict.EQUIVALENT, pair.certificate["reason"])

@@ -29,6 +29,7 @@ from .errors import (
     DimensionMismatchError,
     DiscDomainError,
     SingularLeadingTermError,
+    TruncationOrderError,
 )
 
 DEFAULT_ORDER = 6
@@ -98,10 +99,6 @@ class MatrixPowerSeries2:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, rank: int, order: int) -> "MatrixPowerSeries2":
-        return cls(np.zeros((order + 1, order + 1, rank, rank), dtype=complex))
-
-    @classmethod
     def identity(cls, rank: int, order: int) -> "MatrixPowerSeries2":
         c = np.zeros((order + 1, order + 1, rank, rank), dtype=complex)
         c[0, 0] = np.eye(rank)
@@ -118,21 +115,17 @@ class MatrixPowerSeries2:
 
     def coeff(self, k: int, l: int) -> np.ndarray:
         if k > self.order or l > self.order:
-            from .errors import TruncationOrderError
-
             raise TruncationOrderError(
                 f"coefficient ({k},{l}) beyond truncation order {self.order}"
             )
         return self.coeffs[k, l].copy()
 
     def truncate(self, order: int) -> "MatrixPowerSeries2":
-        if order == self.order:
-            return self
-        if order < self.order:
-            return MatrixPowerSeries2(self.coeffs[: order + 1, : order + 1])
-        c = np.zeros((order + 1, order + 1, self.rank, self.rank), dtype=complex)
-        c[: self.order + 1, : self.order + 1] = self.coeffs
-        return MatrixPowerSeries2(c)
+        """The lattice restricted to indices <= order; products and inverses
+        of the restriction are exact there."""
+        if order > self.order:
+            raise TruncationOrderError(f"series order {self.order} is below the required {order}")
+        return MatrixPowerSeries2(self.coeffs[: order + 1, : order + 1])
 
     def _check_compatible(self, other: "MatrixPowerSeries2") -> None:
         if self.rank != other.rank:
@@ -145,26 +138,13 @@ class MatrixPowerSeries2:
     def multiply(self, other: "MatrixPowerSeries2") -> "MatrixPowerSeries2":
         """Cauchy product over both indices, truncated at the common order."""
         self._check_compatible(other)
-        N, n = self.order, self.rank
+        N = self.order
         a, b = self.coeffs, other.coeffs
         out = np.zeros_like(a)
         for k in range(N + 1):
             for l in range(N + 1):
-                # out[k,l] = sum_{p<=k, q<=l} a[p,q] b[k-p,l-q]
-                blk = np.einsum("pqij,pqjk->ik", a[: k + 1, : l + 1],
-                                b[k::-1, l::-1][: k + 1, : l + 1])
-                out[k, l] = blk
+                out[k, l] = _cauchy_term(a, b, k, l)
         return MatrixPowerSeries2(out)
-
-    def __matmul__(self, other: "MatrixPowerSeries2") -> "MatrixPowerSeries2":
-        return self.multiply(other)
-
-    def add(self, other: "MatrixPowerSeries2") -> "MatrixPowerSeries2":
-        self._check_compatible(other)
-        return MatrixPowerSeries2(self.coeffs + other.coeffs)
-
-    def scale(self, factor: complex) -> "MatrixPowerSeries2":
-        return MatrixPowerSeries2(self.coeffs * factor)
 
     def conjugate_by(self, g: np.ndarray) -> "MatrixPowerSeries2":
         """Coefficientwise g . a[k,l] . g^*."""
@@ -177,7 +157,7 @@ class MatrixPowerSeries2:
         return MatrixPowerSeries2(np.einsum("ij,kljm,mn->klin", left, self.coeffs, right))
 
     def invert(self) -> "MatrixPowerSeries2":
-        """Series inverse B with B @ self = self @ B = identity up to order N.
+        """Series inverse B with B A = A B = identity up to order N.
 
         b[0,0] = a[0,0]^{-1} and, for (k,l) != (0,0), the coefficient follows
         from requiring every mixed coefficient of B*A to vanish:
@@ -185,7 +165,7 @@ class MatrixPowerSeries2:
         Specializing to l = 0 this is the one-row recursion
         sum_{s<=k} b[s,0] a[k-s,0] = 0 used by the coefficient identities.
         """
-        N, n = self.order, self.rank
+        N = self.order
         a = self.coeffs
         a00 = a[0, 0]
         try:
@@ -199,18 +179,12 @@ class MatrixPowerSeries2:
             )
         b = np.zeros_like(a)
         b[0, 0] = a00_inv
-        for total in range(1, 2 * N + 1):
-            for k in range(min(total, N) + 1):
-                l = total - k
-                if l > N:
-                    continue
-                acc = np.zeros((n, n), dtype=complex)
-                for p in range(k + 1):
-                    for q in range(l + 1):
-                        if p == k and q == l:
-                            continue
-                        acc += b[p, q] @ a[k - p, l - q]
-                b[k, l] = -acc @ a00_inv
+        # row-major order: every b[p,q] with p <= k, q <= l is known, and
+        # b[k,l] itself is still zero while its own term is summed
+        for k in range(N + 1):
+            for l in range(N + 1):
+                if k or l:
+                    b[k, l] = -_cauchy_term(b, a, k, l) @ a00_inv
         return MatrixPowerSeries2(b)
 
     # -- analysis helpers ----------------------------------------------
@@ -242,12 +216,6 @@ class MatrixPowerSeries2:
         c[0, :] = self.coeffs[0, :]
         return MatrixPowerSeries2(c)
 
-    def is_kernel_grade(self, tol: float = TOL_HERM) -> bool:
-        if self.hermitian_symmetry_defect() > tol:
-            return False
-        vals = np.linalg.eigvalsh(0.5 * (self.coeffs[0, 0] + self.coeffs[0, 0].conj().T))
-        return bool(vals.min() > 0)
-
     def is_normalized_grade(self, tol: float = 1e-11) -> bool:
         c = self.coeffs
         if np.abs(c[0, 0] - np.eye(self.rank)).max() > tol:
@@ -259,19 +227,7 @@ class MatrixPowerSeries2:
         return f"MatrixPowerSeries2(rank={self.rank}, order={self.order})"
 
 
-# Functional aliases matching the operation-level vocabulary.
 
-def series_multiply(a: MatrixPowerSeries2, b: MatrixPowerSeries2) -> MatrixPowerSeries2:
-    return a.multiply(b)
-
-
-def series_invert(k: MatrixPowerSeries2) -> MatrixPowerSeries2:
-    return k.invert()
-
-
-def hermitian_symmetry_defect(k: MatrixPowerSeries2) -> float:
-    return k.hermitian_symmetry_defect()
-
-
-def series_evaluate(k: MatrixPowerSeries2, z: complex, w: complex) -> np.ndarray:
-    return k.evaluate(z, w)
+def _cauchy_term(a: np.ndarray, b: np.ndarray, k: int, l: int) -> np.ndarray:
+    """sum_{p<=k, q<=l} a[p,q] b[k-p,l-q]: coefficient (k,l) of the product."""
+    return np.einsum("pqij,pqjk->ik", a[: k + 1, : l + 1], b[k::-1, l::-1])

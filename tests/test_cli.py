@@ -101,6 +101,27 @@ def test_equiv_exit_codes(tmp_path, capsys):
     assert code == EXIT_DISTINCT
 
 
+def test_equiv_order_is_echoed_only(tmp_path, capsys):
+    left = write(tmp_path, "l.json", DS_JET1_B5)
+    right = write(tmp_path, "r.json", JET22)
+    _, default, _ = run(capsys, ["equiv", "--left", left, "--right", right])
+    _, order4, _ = run(capsys, ["equiv", "--left", left, "--right", right, "--order", "4"])
+    default, order4 = json.loads(default), json.loads(order4)
+    assert (default["inputs"]["order"], order4["inputs"]["order"]) == (6, 4)
+    del default["inputs"]["order"], order4["inputs"]["order"]
+    assert order4 == default
+
+
+@pytest.mark.parametrize("command", ["invariants", "equiv"])
+def test_order_below_two_is_a_parse_failure(tmp_path, capsys, command):
+    path = write(tmp_path, "b2.json", BERGMAN2)
+    files = ["--kernel", path] if command == "invariants" else ["--left", path, "--right", path]
+    code, out, err = run(capsys, [command, *files, "--order", "1"])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "order >= 2" in err
+
+
 def test_feasible_triple_with_permutations(capsys):
     code, out, _ = run(capsys, ["feasible", "--triple", "1,2,10.5", "--permutations"])
     assert code == EXIT_OK
@@ -165,6 +186,26 @@ def test_parse_failures(tmp_path, capsys):
     missing = str(tmp_path / "nothere.json")
     code, _, _ = run(capsys, ["invariants", "--kernel", missing])
     assert code == EXIT_PARSE
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {**JET1_B1, "k": 1.7},
+        {"type": "permuted", "sigma": "21", "inner": JET1_B1},
+        {"type": "bergman", "lambda": True},
+        {"type": "bergman", "lambda": "2"},
+        {"type": "direct_sum", "parts": 5},
+        {**HOM, "mu": None},
+        {"type": "bergman", "lambda": [1]},
+    ],
+)
+def test_mistyped_spec_values(tmp_path, capsys, spec):
+    path = write(tmp_path, "bad.json", spec)
+    code, out, err = run(capsys, ["invariants", "--kernel", path])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):

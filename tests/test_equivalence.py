@@ -12,6 +12,7 @@ from cdbundle import (
     PointInvariants,
     UnsupportedShapeError,
     Verdict,
+    WitnessVerificationError,
     eig_multiset_equal,
     full_report,
     invariants_at_zero,
@@ -20,6 +21,7 @@ from cdbundle import (
     solve_triple,
     zzbar_distinguishes,
 )
+from cdbundle.equivalence import _verify_witness
 from cdbundle.feasibility import RHO
 
 
@@ -153,6 +155,14 @@ def test_witness_is_verified_unitary_intertwiner():
     assert np.abs(U.conj().T @ U - np.eye(3)).max() < 1e-10
     assert np.abs(U @ inv1.curvature - inv2.curvature @ U).max() < 1e-8
     assert np.abs(U @ inv1.d_zbar - inv2.d_zbar @ U).max() < 1e-8
+
+
+def test_non_unitary_witness_is_rejected():
+    # a typed error, not an assert, so the check also runs under python -O
+    K = np.diag([1.0, 2.0]).astype(complex)
+    T = np.zeros((2, 2), dtype=complex)
+    with pytest.raises(WitnessVerificationError, match="unitarity"):
+        _verify_witness(np.diag([2.0, 1.0]).astype(complex), K, K, T, T, ("curvature",))
 
 
 def test_symmetry_of_decision():

@@ -14,15 +14,77 @@ from cdbundle import (
     invariants_at_zero,
     kernel_taylor,
     normalize,
-    tilde_a_closed,
-    tilde_a_general,
     transport_eigenvalues,
 )
 from cdbundle.invariants import curvature_diag_from_abc, dzbar_from_abc, homogeneous_abc
-from cdbundle.series import MatrixPowerSeries2
+from cdbundle.series import MatrixPowerSeries2, assert_hermitian, hermitian_sqrt
 from conftest import random_kernel_series, zoo_fixtures
 
 SQ5, SQ6 = np.sqrt(5.0), np.sqrt(6.0)
+
+
+# Independent formulas for the normalized coefficients, cross-checks of `normalize`.
+
+def tilde_a_closed(K: MatrixPowerSeries2, which: str) -> np.ndarray:
+    """Closed-form normalized coefficients a~[1,1], a~[1,2], a~[2,2].
+
+    Direct matrix algebra on the first few kernel coefficients; must agree
+    with the corresponding coefficient of :func:`normalize` at 1e-11.
+    """
+    if K.order < 2:
+        raise TruncationOrderError("closed coefficient formulas need order >= 2")
+    a00 = K.coeff(0, 0)
+    a00_inv = np.linalg.inv(a00)
+    root_inv = np.linalg.inv(hermitian_sqrt(assert_hermitian(a00, what="a00")))
+    a10, a01 = K.coeff(1, 0), K.coeff(0, 1)
+    a11, a12, a21 = K.coeff(1, 1), K.coeff(1, 2), K.coeff(2, 1)
+    a20, a02, a22 = K.coeff(2, 0), K.coeff(0, 2), K.coeff(2, 2)
+
+    schur = a11 - a10 @ a00_inv @ a01
+    if which == "a11":
+        inner = schur
+    elif which == "a12":
+        inner = a12 - schur @ a00_inv @ a01 - a10 @ a00_inv @ a02
+    elif which == "a22":
+        inner12 = a12 - schur @ a00_inv @ a01 - a10 @ a00_inv @ a02
+        inner = (
+            a22
+            + (a20 @ a00_inv @ a01 - a21) @ a00_inv @ a01
+            - a20 @ a00_inv @ a02
+            - a10 @ a00_inv @ inner12
+        )
+    else:
+        raise ValueError(f"which must be one of a11/a12/a22, got {which!r}")
+    return root_inv @ inner @ root_inv
+
+
+def tilde_a_general(K: MatrixPowerSeries2, k: int, l: int) -> np.ndarray:
+    """General formula for a~[k+1, l+1] from the kernel and inverse lattices.
+
+    a~[k+1,l+1] = a00^{1/2} ( sum_{s=1..k} sum_{t=1..l} b[s,0] a[k+1-s,l+1-t] b[0,t]
+                            + sum_{s=1..k} b[s,0] a[k+1-s,l+1] b[0,0]
+                            + sum_{t=1..l} b[0,0] a[k+1,l+1-t] b[0,t]
+                            + b[0,0] a[k+1,l+1] b[0,0]
+                            - b[k+1,0] a[0,0] b[0,l+1] ) a00^{1/2}
+    """
+    if K.order < max(k, l) + 1:
+        raise TruncationOrderError("series order too small for requested coefficient")
+    a = K.coeffs
+    b = K.invert().coeffs
+    half = hermitian_sqrt(assert_hermitian(K.coeff(0, 0), what="a00"))
+    n = K.rank
+    acc = np.zeros((n, n), dtype=complex)
+    for s in range(1, k + 1):
+        for t in range(1, l + 1):
+            acc += b[s, 0] @ a[k + 1 - s, l + 1 - t] @ b[0, t]
+    for s in range(1, k + 1):
+        acc += b[s, 0] @ a[k + 1 - s, l + 1] @ b[0, 0]
+    for t in range(1, l + 1):
+        acc += b[0, 0] @ a[k + 1, l + 1 - t] @ b[0, t]
+    acc += b[0, 0] @ a[k + 1, l + 1] @ b[0, 0]
+    acc -= b[k + 1, 0] @ a[0, 0] @ b[0, l + 1]
+    return half @ acc @ half
+
 
 
 def test_normalize_bergman_is_identity_operation():
@@ -126,6 +188,19 @@ def test_covd_zbar_n_consistency_and_vanishing():
     assert np.abs(covd_zbar_n_at_zero(kb, 2)).max() < 1e-14
     with pytest.raises(TruncationOrderError):
         covd_zbar_n_at_zero(kb, 4)
+
+
+@pytest.mark.parametrize("name, spec", zoo_fixtures())
+def test_invariants_independent_of_lattice_order(name, spec):
+    want = invariants_at_zero(kernel_taylor(spec, 2))
+    for order in (4, 6):
+        got = invariants_at_zero(kernel_taylor(spec, order))
+        for field in ("curvature", "d_zbar", "d_zzbar"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), (order, field)
+    lattice = kernel_taylor(spec, 6)
+    for n in (1, 2, 3, 4):
+        assert np.array_equal(covd_zbar_n_at_zero(kernel_taylor(spec, n + 1), n),
+                              covd_zbar_n_at_zero(lattice, n)), n
 
 
 def test_homogeneous_closed_m2_reference_values():

@@ -144,6 +144,9 @@ def test_immutability(rng):
 def test_coefficient_access_beyond_order():
     with pytest.raises(TruncationOrderError):
         geometric(2).coeff(3, 0)
+    with pytest.raises(TruncationOrderError):
+        geometric(2).truncate(3)
+    assert np.array_equal(geometric(4).truncate(2).coeffs, geometric(2).coeffs)
 
 
 def test_non_finite_rejected():
