@@ -7,8 +7,10 @@ printed with 17 significant digits, complex entries as {"re": .., "im": ..}
 fixed point.
 
 Exit codes: 0 success (and verdict "equivalent" for equiv), 2 argument or
-spec parse failure, 3 numeric degeneracy, 10 eigenvalues_match_only,
-11 distinct; reproduce exits 1 when any assertion fails.
+spec parse failure, 3 numeric degeneracy (and, for invariants, an oracle
+residual above its tolerance; the report is still printed),
+10 eigenvalues_match_only, 11 distinct; reproduce exits 1 when any
+assertion fails.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from .errors import (
 from .feasibility import permutation_analysis, rank2_feasibility, solve_triple
 from .invariants import INVARIANT_ORDER, invariants_at_zero
 from .kernels import kernel_taylor, spec_from_dict, spec_to_dict
-from .oracle import FDConfig, curvature_eigenvalues_fd, oracle_invariants_at_zero
+from .oracle import (
+    ORACLE_CROSS_CHECK_TOL,
+    FDConfig,
+    curvature_eigenvalues_fd,
+    oracle_invariants_at_zero,
+)
 from .reproduce import SCENARIOS
 from .series import DEFAULT_ORDER
 
@@ -96,7 +103,11 @@ def matrix_json(m) -> list:
 
 def _load_spec(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return spec_from_dict(doc)
 
 
 def _emit(report: dict) -> None:
@@ -131,7 +142,7 @@ def cmd_invariants(args) -> int:
             "curvature_eigenvalues": [float(v) for v in inv.curvature_eigenvalues()],
             "oracle_residuals": residuals,
         },
-        "tolerances": {"oracle_cross_check": 1e-5},
+        "tolerances": {"oracle_cross_check": ORACLE_CROSS_CHECK_TOL},
         "notes": [],
     }
     if args.json:
@@ -146,6 +157,12 @@ def cmd_invariants(args) -> int:
             print("d_zzbar(0):")
             print(np.array(inv.d_zzbar))
         print("oracle residuals:", {k: f"{v:.3e}" for k, v in residuals.items()})
+    over = {k: v for k, v in residuals.items() if not v <= ORACLE_CROSS_CHECK_TOL}
+    if over:
+        listed = ", ".join(f"{k} {v:.3e}" for k, v in over.items())
+        print(f"numeric error: oracle residuals above {ORACLE_CROSS_CHECK_TOL:g}: {listed}",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 

@@ -5,7 +5,9 @@ Every kernel variant supports two independent views:
 * ``evaluate(z, w)`` — the exact closed-form matrix value K(z, w), no
   truncation anywhere (nilpotent exponentials are finite sums, powers use
   the principal branch, which is safe because Re(1 - z conj(w)) > 0 on the
-  bidisc);
+  bidisc).  z and w are scalars or arrays of one shape S, and the result
+  has shape S + (n, n), so a whole stencil of points is one call.  Real
+  (float) points are evaluated in real arithmetic;
 * ``taylor(order)`` — extraction of the coefficient lattice a[k,l] of
   K(z,w) = sum a[k,l] z^k conj(w)^l as a :class:`MatrixPowerSeries2`.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -90,9 +93,13 @@ def permutation_matrix(sigma: Sequence[int]) -> np.ndarray:
     return p
 
 
-def _check_disc(z: complex, w: complex) -> None:
-    if abs(z) >= 1.0 or abs(w) >= 1.0:
-        raise DiscDomainError(f"point ({z}, {w}) outside the open unit disc")
+def _check_disc(z, w) -> None:
+    """Raise unless every point pair of the (broadcast) arrays lies in the disc."""
+    outside = ~((np.abs(z) < 1.0) & (np.abs(w) < 1.0))
+    if outside.any():
+        first = np.flatnonzero(outside)[0]
+        zb, wb = (np.broadcast_to(v, outside.shape).flat[first] for v in (z, w))
+        raise DiscDomainError(f"point ({zb}, {wb}) outside the open unit disc")
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,8 @@ class KernelSpec:
     def rank(self) -> int:
         raise NotImplementedError
 
-    def evaluate(self, z: complex, w: complex) -> np.ndarray:
+    def evaluate(self, z, w) -> np.ndarray:
+        """K(z, w) for scalars or equal-shape arrays; shape + (n, n), complex."""
         raise NotImplementedError
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
@@ -160,7 +168,7 @@ class KernelSpec:
         return True
 
     def metric_at(self, z: complex) -> np.ndarray:
-        """h(z) = K(z, z)^t."""
+        """h(z) = K(z, z)^t at one point (stacks go through ``evaluate``)."""
         return self.evaluate(z, z).T.copy()
 
 
@@ -178,9 +186,10 @@ class BergmanPower(KernelSpec):
     def rank(self) -> int:
         return 1
 
-    def evaluate(self, z: complex, w: complex) -> np.ndarray:
+    def evaluate(self, z, w) -> np.ndarray:
         _check_disc(z, w)
-        return np.array([[(1 - z * np.conj(w)) ** (-self.lam)]], dtype=complex)
+        value = (1 - z * np.conj(w)) ** (-self.lam)
+        return np.asarray(value, dtype=complex)[..., None, None]
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         c = np.zeros((order + 1, order + 1, 1, 1), dtype=complex)
@@ -189,24 +198,31 @@ class BergmanPower(KernelSpec):
         return MatrixPowerSeries2(c)
 
 
-def _power_kernel_mixed_derivative(beta: float, i: int, j: int, z: complex, wbar: complex) -> complex:
-    """d^i_z d^j_wbar (1 - z wbar)^{-beta}, exact closed form.
+def _power_kernel_mixed_derivatives(beta: float, n: int, z, wbar) -> np.ndarray:
+    """d^i_z d^j_wbar (1 - z wbar)^{-beta} for 0 <= i, j < n, exact closed form.
 
     d^j_wbar gives (beta)_j z^j (1-x)^{-beta-j} with x = z wbar; the z
-    derivatives then follow from the Leibniz rule on z^j * (1-x)^{-beta-j}.
+    derivatives then follow from the Leibniz rule on z^j * (1-x)^{-beta-j}:
+    a sum over t <= min(i, j) of C(i, t) j!/(j-t)! z^{j-t} (beta+j)_{i-t}
+    wbar^{i-t} (1-x)^{-beta-j-(i-t)}.  The result has shape S + (n, n) for
+    points of shape S; the terms with t > min(i, j) carry coefficient 0.
     """
+    i, j = np.indices((n, n))
+    z = np.asarray(z)[..., None, None]
+    wbar = np.asarray(wbar)[..., None, None]
     x = z * wbar
-    total = 0.0 + 0.0j
-    for t in range(min(i, j) + 1):
-        coeff = math.comb(i, t) * falling(j, t)
-        total += (
+    total = 0.0
+    for t in range(n):
+        coeff = np.array([[math.comb(a, t) * falling(b, t) for b in range(n)] for a in range(n)])
+        rise = np.array([[rising(beta + b, a - t) for b in range(n)] for a in range(n)])
+        total = total + (
             coeff
-            * z ** (j - t)
-            * rising(beta + j, i - t)
-            * wbar ** (i - t)
+            * z ** np.maximum(j - t, 0)
+            * rise
+            * wbar ** np.maximum(i - t, 0)
             * (1 - x) ** (-beta - j - (i - t))
         )
-    return rising(beta, j) * total
+    return np.array([rising(beta, b) for b in range(n)]) * total
 
 
 @dataclass(frozen=True)
@@ -232,16 +248,12 @@ class Jet(KernelSpec):
     def rank(self) -> int:
         return self.k + 1
 
-    def evaluate(self, z: complex, w: complex) -> np.ndarray:
+    def evaluate(self, z, w) -> np.ndarray:
         _check_disc(z, w)
         wbar = np.conj(w)
-        base = (1 - z * wbar) ** (-self.alpha)
-        n = self.k + 1
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = base * _power_kernel_mixed_derivative(self.beta, i, j, z, wbar)
-        return out
+        base = np.asarray((1 - z * wbar) ** (-self.alpha))[..., None, None]
+        entries = _power_kernel_mixed_derivatives(self.beta, self.k + 1, z, wbar)
+        return np.asarray(base * entries, dtype=complex)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         return jet_taylor_generic(self.alpha, self.beta, self.k, order)
@@ -297,14 +309,14 @@ class DirectSum(KernelSpec):
     def rank(self) -> int:
         return sum(p.rank for p in self.parts)
 
-    def evaluate(self, z: complex, w: complex) -> np.ndarray:
+    def evaluate(self, z, w) -> np.ndarray:
         blocks = [p.evaluate(z, w) for p in self.parts]
         n = self.rank
-        out = np.zeros((n, n), dtype=complex)
+        out = np.zeros(blocks[0].shape[:-2] + (n, n), dtype=complex)
         at = 0
         for blk in blocks:
-            r = blk.shape[0]
-            out[at : at + r, at : at + r] = blk
+            r = blk.shape[-1]
+            out[..., at : at + r, at : at + r] = blk
             at += r
         return out
 
@@ -354,20 +366,21 @@ class Homogeneous(KernelSpec):
     def rank(self) -> int:
         return self.m + 1
 
-    @property
+    @cached_property
     def triangular(self) -> TriangularData:
         return TriangularData.build(self.lam, self.mu, self.m)
 
-    def evaluate(self, z: complex, w: complex) -> np.ndarray:
+    def evaluate(self, z, w) -> np.ndarray:
         _check_disc(z, w)
         m = self.m
-        x = z * np.conj(w)
+        wbar = np.conj(w)
+        x = np.asarray(z * wbar)[..., None, None]
         S = shift_matrix(m)
-        expw = _nilpotent_exp(np.conj(w) * S)
-        expz = _nilpotent_exp(z * S.conj().T)
-        D = np.diag(np.array([(1 - x) ** (m - l) for l in range(m + 1)], dtype=complex))
+        expw = _nilpotent_exp(wbar, S)
+        expz = _nilpotent_exp(z, S.conj().T)
+        D = (1 - x) ** (m - np.arange(m + 1))  # the diagonal of D(x), as a row
         B = self.triangular.B
-        return (1 - x) ** (-2 * self.lam - m) * (D @ expw @ B @ expz @ D)
+        return (1 - x) ** (-2 * self.lam - m) * (np.swapaxes(D, -1, -2) * (expw @ B @ expz) * D)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         m, n = self.m, self.m + 1
@@ -396,14 +409,19 @@ class Homogeneous(KernelSpec):
         return out
 
 
-def _nilpotent_exp(a: np.ndarray) -> np.ndarray:
-    """exp of a nilpotent matrix as the exact finite sum."""
-    n = a.shape[0]
-    out = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for r in range(1, n):
+def _nilpotent_exp(t, a: np.ndarray) -> np.ndarray:
+    """exp(t a) for a nilpotent matrix a as the exact finite sum of t^r a^r / r!.
+
+    t is a scalar or an array of shape S; the result has shape S + a.shape.
+    """
+    t = np.asarray(t)[..., None, None]
+    out = np.eye(a.shape[0], dtype=complex)
+    power = np.ones_like(t)
+    term = np.eye(a.shape[0], dtype=complex)
+    for r in range(1, a.shape[0]):
+        power = power * t
         term = term @ a / r
-        out = out + term
+        out = out + power * term
     return out
 
 
@@ -430,7 +448,7 @@ class Permuted(KernelSpec):
     def _p(self) -> np.ndarray:
         return permutation_matrix(self.sigma)
 
-    def evaluate(self, z: complex, w: complex) -> np.ndarray:
+    def evaluate(self, z, w) -> np.ndarray:
         p = self._p()
         return p @ self.inner.evaluate(z, w) @ p.conj().T
 
@@ -477,8 +495,19 @@ def _list(value, key: str) -> list:
     return value
 
 
+# deepest direct_sum/permuted nesting spec_from_dict accepts
+MAX_SPEC_DEPTH = 64
+
+
 def spec_from_dict(obj: dict) -> KernelSpec:
-    """Parse the normative JSON form; unknown fields and mistyped values are rejected."""
+    """Parse the normative JSON form; unknown fields and mistyped values are rejected,
+    and so is nesting deeper than MAX_SPEC_DEPTH."""
+    return _spec_from_dict(obj, MAX_SPEC_DEPTH)
+
+
+def _spec_from_dict(obj: dict, depth: int) -> KernelSpec:
+    if depth < 1:
+        raise ValueError(f"kernel spec nested deeper than {MAX_SPEC_DEPTH} levels")
     if not isinstance(obj, dict):
         raise ValueError(f"kernel spec must be an object, got {type(obj).__name__}")
     if "type" not in obj:
@@ -503,7 +532,7 @@ def spec_from_dict(obj: dict) -> KernelSpec:
                    k=_integer(obj["k"], "k"))
     if kind == "direct_sum":
         expect({"parts"})
-        return DirectSum([spec_from_dict(p) for p in _list(obj["parts"], "parts")])
+        return DirectSum([_spec_from_dict(p, depth - 1) for p in _list(obj["parts"], "parts")])
     if kind == "homogeneous":
         expect({"lambda", "mu", "m"})
         return Homogeneous(lam=_number(obj["lambda"], "lambda"),
@@ -511,7 +540,7 @@ def spec_from_dict(obj: dict) -> KernelSpec:
                            m=_integer(obj["m"], "m"))
     if kind == "permuted":
         expect({"sigma", "inner"})
-        return Permuted(inner=spec_from_dict(obj["inner"]),
+        return Permuted(inner=_spec_from_dict(obj["inner"], depth - 1),
                         sigma=[_integer(s, "sigma") for s in _list(obj["sigma"], "sigma")])
     raise ValueError(f"unknown kernel type '{kind}'")
 

@@ -1,8 +1,8 @@
 """Independent curvature verification by finite-difference Wirtinger calculus.
 
 This module never touches the power-series machinery: it works from exact
-pointwise evaluations of the metric h(z) = K(z, z)^t only, applying central
-differences for the Wirtinger operators
+closed-form evaluations of the metric h(z) = K(z, z)^t only, applying
+central differences for the Wirtinger operators
 
     d     = (d/dx - i d/dy) / 2,      dbar = (d/dx + i d/dy) / 2
 
@@ -16,14 +16,37 @@ All outputs are in the raw holomorphic frame of the kernel; use
 :func:`to_orthonormal_frame` with h(point) to compare against the series
 path, which works in the frame orthonormal at the point.
 
+Each route works in three steps.
+
+1. Stencil.  The nested differences visit a fixed set of points, a
+   function of z, the step ladder and the scheme only.  The route lists
+   them as arrays, level by level: u + t, u - t, u + it, u - it around
+   every point u of the level above, with the same floating-point sums a
+   nested scalar evaluation would form.
+2. One batch.  The metric is evaluated once per distinct point (exact
+   equality) through ``KernelSpec.evaluate`` on whole arrays, in blocks of
+   _BLOCK points.  Many stencil points coincide: at 0 with the default
+   configuration the curvature, (0,1) and (1,1) routes read 72, 576 and
+   5 256 metric values but evaluate only 33, 284 and 2 692 points.
+3. Combine.  The values are differenced level by level on stacked
+   (..., n, n) arrays with the scalar formulas unchanged:
+   G = solve(h, dh) on the stack, then dK + G K - K G for the (1,1) route.
+
+Real-axis rule.  Points with zero imaginary part are evaluated as float64,
+all others as complex128.  The zoo's metrics are real on the real axis, but
+complex power functions leave an imaginary residue of about 1e-17 there;
+the (1,1) route divides by about s1 s2 s3 s4, which amplifies that residue
+roughly 7e9-fold: evaluating every point as complex moves d_zzbar by up
+to 3.4e-6 on the fixture set, a third of the cross-check tolerance.
+
 Step ladders.  Nesting central differences amplifies roundoff: the noise of
 an inner level divided by the outer step must stay below the target, so
 outer levels use larger steps than inner ones (and the deepest route bumps
 the metric-level step as well).  The multipliers below were measured across
 the full kernel fixture set in float64; with the default step 1e-4 the
-worst-case absolute errors at z = 0 are about 7e-10 (curvature), 1e-6
-((0,1)) and 5e-6 ((1,1)) for the richardson scheme, and 8e-6 / 2.3e-4 /
-5.1e-4 for plain central differences.
+worst-case deviations from the series path at z = 0 are about 7e-8
+(curvature), 3e-7 ((0,1)) and 7.3e-6 ((1,1)) for the richardson scheme, and
+1.6e-6 / 9.2e-5 / 4.6e-4 for plain central differences.
 """
 
 from __future__ import annotations
@@ -36,6 +59,10 @@ from .errors import DiscDomainError, MetricDegeneracyError
 from .kernels import KernelSpec
 from .series import hermitian_sqrt
 
+# largest accepted deviation of the richardson oracle from the series path at 0
+ORACLE_CROSS_CHECK_TOL = 1e-5
+# metric evaluations per batch call, which bounds the transient stacks
+_BLOCK = 512
 # step multipliers per route, relative to FDConfig.step
 _LADDERS = {
     "richardson": {"curv": (1, 1), "zbar": (1, 1, 10), "zzbar": (10, 10, 100, 150)},
@@ -81,17 +108,6 @@ def metric_at(spec: KernelSpec, z: complex) -> np.ndarray:
     return h
 
 
-def _wirtinger(f, z: complex, s: float, bar: bool, richardson: bool) -> np.ndarray:
-    def central(step):
-        dx = (f(z + step) - f(z - step)) / (2 * step)
-        dy = (f(z + 1j * step) - f(z - 1j * step)) / (2 * step)
-        return 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
-
-    if not richardson:
-        return central(s)
-    return (4.0 * central(s / 2) - central(s)) / 3.0
-
-
 def _check_reach(z: complex, cfg: FDConfig, route: str) -> None:
     if abs(z) + cfg.reach(route) >= 1.0:
         raise DiscDomainError(
@@ -100,16 +116,66 @@ def _check_reach(z: complex, cfg: FDConfig, route: str) -> None:
         )
 
 
-def _connection(spec: KernelSpec, cfg: FDConfig, s: float):
-    rich = cfg.scheme == "richardson"
+def _stencil(u, s: float, richardson: bool) -> np.ndarray:
+    """Points of one Wirtinger difference with step s around each point of u.
 
-    def metric(z):
-        return spec.metric_at(z)
+    Shape u.shape + (steps, 4): steps (s/2, s) for richardson, (s,) for
+    central; the last axis is u + t, u - t, u + it, u - it.
+    """
+    steps = (s / 2, s) if richardson else (s,)
+    return np.asarray(u)[..., None, None] + np.array([[t, -t, 1j * t, -1j * t] for t in steps])
 
-    def G(z):
-        return np.linalg.solve(metric(z), _wirtinger(metric, z, s, bar=False, richardson=rich))
 
-    return G
+def _difference(f: np.ndarray, s: float, bar: bool, richardson: bool) -> np.ndarray:
+    """d (or dbar) from values f on a stencil, shape (..., steps, 4, n, n) -> (..., n, n)."""
+
+    def central(v, step):
+        dx = (v[..., 0, :, :] - v[..., 1, :, :]) / (2 * step)
+        dy = (v[..., 2, :, :] - v[..., 3, :, :]) / (2 * step)
+        return 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
+
+    if not richardson:
+        return central(f[..., 0, :, :, :], s)
+    return (4.0 * central(f[..., 0, :, :, :], s / 2) - central(f[..., 1, :, :, :], s)) / 3.0
+
+
+def _metric_values(spec: KernelSpec, points: np.ndarray) -> tuple:
+    """h = K^t at each distinct point of the array, and where each point's value is.
+
+    Returns (values, where) with values[where[i]] = h(points.flat[i]).  The
+    distinct points are evaluated in blocks of _BLOCK, those on the real
+    axis as float64 and all others as complex128 (see the module docstring).
+    """
+    distinct, where = np.unique(points.ravel(), return_inverse=True)
+    real = distinct.imag == 0
+    values = np.empty(distinct.shape + (spec.rank, spec.rank), dtype=complex)
+    for start in range(0, distinct.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        x, on_axis = distinct[block], real[block]
+        values[block][on_axis] = spec.evaluate(x.real[on_axis], x.real[on_axis])
+        values[block][~on_axis] = spec.evaluate(x[~on_axis], x[~on_axis])
+    return np.swapaxes(values, -1, -2), where
+
+
+def _connection(spec: KernelSpec, u: np.ndarray, s: float, richardson: bool) -> np.ndarray:
+    """G = h^{-1} dh at every point of u, shape u.shape + (n, n).
+
+    The metric is evaluated once for all points; G is then formed for
+    _BLOCK // (stencil size) points of u at a time, so the stacks of metric
+    values stay small.
+    """
+    around = _stencil(u, s, richardson).reshape(u.size, -1)
+    points = np.concatenate([u.reshape(-1, 1), around], axis=1)
+    values, where = _metric_values(spec, points)
+    where = where.reshape(points.shape)
+    n = values.shape[-1]
+    G = np.empty((u.size, n, n), dtype=complex)
+    step = max(1, _BLOCK // points.shape[1])
+    for start in range(0, u.size, step):
+        h = values[where[start : start + step]]
+        dh = h[:, 1:].reshape((len(h), -1, 4, n, n))
+        G[start : start + step] = np.linalg.solve(h[:, 0], _difference(dh, s, False, richardson))
+    return G.reshape(u.shape + (n, n))
 
 
 def curvature_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np.ndarray:
@@ -117,8 +183,8 @@ def curvature_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np
     _check_reach(z, cfg, "curv")
     s1, s2 = cfg.ladder("curv")
     rich = cfg.scheme == "richardson"
-    G = _connection(spec, cfg, s1)
-    return _wirtinger(G, z, s2, bar=True, richardson=rich)
+    G = _connection(spec, _stencil(z, s2, rich), s1, rich)
+    return _difference(G, s2, True, rich)
 
 
 def covd_zbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np.ndarray:
@@ -126,30 +192,31 @@ def covd_zbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np
     _check_reach(z, cfg, "zbar")
     s1, s2, s3 = cfg.ladder("zbar")
     rich = cfg.scheme == "richardson"
-    G = _connection(spec, cfg, s1)
-
-    def K(u):
-        return _wirtinger(G, u, s2, bar=True, richardson=rich)
-
-    return _wirtinger(K, z, s3, bar=True, richardson=rich)
+    G = _connection(spec, _stencil(_stencil(z, s3, rich), s2, rich), s1, rich)
+    return _difference(_difference(G, s2, True, rich), s3, True, rich)
 
 
 def covd_zzbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Raw-frame (1,1) covariant derivative dbar( d K + [G, K] ) at z."""
+    """Raw-frame (1,1) covariant derivative dbar( d K + [G, K] ) at z.
+
+    F = dK + [G, K] is needed on the s4 stencil of z; there K is needed at
+    each point u and on its s3 stencil, and G at u and on the s2 stencils of
+    all those K points.  One connection call covers every G point.
+    """
     _check_reach(z, cfg, "zzbar")
     s1, s2, s3, s4 = cfg.ladder("zzbar")
     rich = cfg.scheme == "richardson"
-    G = _connection(spec, cfg, s1)
-
-    def K(u):
-        return _wirtinger(G, u, s2, bar=True, richardson=rich)
-
-    def F(u):
-        dK = _wirtinger(K, u, s3, bar=False, richardson=rich)
-        g, k = G(u), K(u)
-        return dK + g @ k - k @ g
-
-    return _wirtinger(F, z, s4, bar=True, richardson=rich)
+    outer = _stencil(z, s4, rich)
+    around = _stencil(outer, s3, rich)
+    k_points = np.concatenate([outer[..., None], around.reshape(outer.shape + (-1,))], axis=-1)
+    g_points = _stencil(k_points, s2, rich)
+    G = _connection(spec, np.concatenate([outer.ravel(), g_points.ravel()]), s1, rich)
+    n = G.shape[-1]
+    g = G[: outer.size].reshape(outer.shape + (n, n))
+    K = _difference(G[outer.size :].reshape(g_points.shape + (n, n)), s2, True, rich)
+    k = K[..., 0, :, :]
+    dK = _difference(K[..., 1:, :, :].reshape(around.shape + (n, n)), s3, False, rich)
+    return _difference(dK + g @ k - k @ g, s4, True, rich)
 
 
 def to_orthonormal_frame(M: np.ndarray, h0: np.ndarray) -> np.ndarray:

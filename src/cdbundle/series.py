@@ -164,6 +164,11 @@ class MatrixPowerSeries2:
         b[k,l] = -( sum_{(p,q) < (k,l)} b[p,q] a[k-p,l-q] ) a[0,0]^{-1}.
         Specializing to l = 0 this is the one-row recursion
         sum_{s<=k} b[s,0] a[k-s,0] = 0 used by the coefficient identities.
+
+        A series in z alone (only the l = 0 column nonzero, as for
+        ``z_slice``) has an inverse in z alone, so only that column is
+        computed; likewise a series in conj(w) alone.  The column entries
+        sum the same terms in the same order as the full loop.
         """
         N = self.order
         a = self.coeffs
@@ -179,10 +184,15 @@ class MatrixPowerSeries2:
             )
         b = np.zeros_like(a)
         b[0, 0] = a00_inv
+        rows, cols = range(N + 1), range(N + 1)
+        if not a[:, 1:].any():
+            cols = range(1)
+        elif not a[1:, :].any():
+            rows = range(1)
         # row-major order: every b[p,q] with p <= k, q <= l is known, and
         # b[k,l] itself is still zero while its own term is summed
-        for k in range(N + 1):
-            for l in range(N + 1):
+        for k in rows:
+            for l in cols:
                 if k or l:
                     b[k, l] = -_cauchy_term(b, a, k, l) @ a00_inv
         return MatrixPowerSeries2(b)

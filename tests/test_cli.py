@@ -208,6 +208,27 @@ def test_mistyped_spec_values(tmp_path, capsys, spec):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("depth", [100, 1500])
+def test_deeply_nested_spec_is_a_parse_failure(tmp_path, capsys, depth):
+    text = '{"type": "direct_sum", "parts": [' * depth + json.dumps(BERGMAN2) + "]}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, ["invariants", "--kernel", str(path)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_oracle_residual_above_tolerance_exits_numeric(tmp_path, capsys):
+    path = write(tmp_path, "j.json", JET22)
+    code, out, err = run(capsys, ["invariants", "--kernel", path, "--fd-step", "3e-3", "--json"])
+    assert code == EXIT_NUMERIC
+    doc = json.loads(out)
+    tol = doc["tolerances"]["oracle_cross_check"]
+    assert doc["outputs"]["oracle_residuals"]["d_zzbar"] > tol
+    assert err.startswith("numeric error: ") and err.count("\n") == 1
+
+
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     import cdbundle.cli as cli_mod
 

@@ -247,6 +247,29 @@ def test_evaluate_rejects_boundary():
         kernel_evaluate(BergmanPower(1.0), 1.0, 0.5)
 
 
+def test_batched_evaluate_matches_pointwise_calls():
+    rng = np.random.default_rng(7)
+    z = 0.6 * (rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)) / np.sqrt(2)
+    w = z[::-1].copy()
+    x = rng.uniform(-0.6, 0.6, 40)
+    for name, spec in zoo_fixtures():
+        for a, b in ((z, w), (z, z), (x, x)):
+            stack = spec.evaluate(a, b)
+            assert stack.shape == a.shape + (spec.rank, spec.rank), name
+            for k in range(a.size):
+                one = spec.evaluate(a[k].item(), b[k].item())
+                assert np.abs(stack[k] - one).max() <= 1e-14 * np.abs(one).max(), name
+
+
+def test_batched_evaluate_checks_every_point():
+    z = np.array([0.1, 0.2 + 0.3j, 0.5, 1.01j, -0.4])
+    for name, spec in zoo_fixtures():
+        with pytest.raises(DiscDomainError):
+            spec.evaluate(z, z)
+        with pytest.raises(DiscDomainError):
+            spec.evaluate(z.real, np.full(5, 1.5))
+
+
 def test_json_round_trip():
     specs = [spec for _, spec in zoo_fixtures()]
     for spec in specs:

@@ -28,9 +28,23 @@ class ConstantMetric:
 
     def __init__(self, h):
         self._h = np.asarray(h, dtype=complex)
+        self.rank = self._h.shape[0]
 
-    def metric_at(self, z):
-        return self._h.copy()
+    def evaluate(self, z, w):
+        return np.broadcast_to(self._h.T, np.shape(z) + self._h.shape).copy()
+
+
+class CountingMetric:
+    """Test double that records every point at which a zoo kernel is evaluated."""
+
+    def __init__(self, spec):
+        self._spec = spec
+        self.rank = spec.rank
+        self.points = []
+
+    def evaluate(self, z, w):
+        self.points.extend(np.ravel(z).tolist())
+        return self._spec.evaluate(z, w)
 
 
 def jet1_raw_curvature(alpha, beta, z):
@@ -71,6 +85,15 @@ def test_curvature_constant_metric_vanishes():
     const = ConstantMetric(np.eye(2))
     assert np.abs(curvature_fd(const, 0.1 + 0.1j)).max() < 1e-10
     assert np.abs(covd_zzbar_fd(const, 0.0)).max() < 1e-8
+
+
+@pytest.mark.parametrize("route,distinct", [(curvature_fd, 33), (covd_zbar_fd, 284),
+                                            (covd_zzbar_fd, 2692)])
+def test_each_route_evaluates_each_distinct_point_once(route, distinct):
+    for name, spec in zoo_fixtures():
+        counting = CountingMetric(spec)
+        route(counting, 0.0)
+        assert len(counting.points) == len(set(counting.points)) == distinct, name
 
 
 def test_covd_zbar_at_zero():
