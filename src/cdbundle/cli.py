@@ -272,6 +272,8 @@ def cmd_feasible(args) -> int:
 
 
 def cmd_field(args) -> int:
+    if args.grid < 3:  # a 2x2 grid's points all lie outside the radius
+        raise ValueError(f"field needs --grid >= 3, got {args.grid}")
     spec = _load_spec(args.kernel)
     if not 0.0 < args.radius < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {args.radius}")

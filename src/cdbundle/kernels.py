@@ -16,7 +16,12 @@ transpose); the invariant formulas apply the trailing transpose where the
 closed forms do, so kernels themselves are stored untransposed.
 
 Specs are immutable and validated on construction; everything here is a
-pure function of its arguments and safe to share across threads.
+pure function of its arguments and safe to share across threads.  The
+point-independent tables of ``evaluate`` (derivative coefficients,
+nilpotent powers, permutation matrices) are built on first use and kept on
+the spec (``functools.cached_property``); they hold constants of the spec
+only, never points or results.  Two threads racing on a fresh spec may both
+build a table, with equal values, and either copy is kept.
 """
 
 from __future__ import annotations
@@ -198,33 +203,6 @@ class BergmanPower(KernelSpec):
         return MatrixPowerSeries2(c)
 
 
-def _power_kernel_mixed_derivatives(beta: float, n: int, z, wbar) -> np.ndarray:
-    """d^i_z d^j_wbar (1 - z wbar)^{-beta} for 0 <= i, j < n, exact closed form.
-
-    d^j_wbar gives (beta)_j z^j (1-x)^{-beta-j} with x = z wbar; the z
-    derivatives then follow from the Leibniz rule on z^j * (1-x)^{-beta-j}:
-    a sum over t <= min(i, j) of C(i, t) j!/(j-t)! z^{j-t} (beta+j)_{i-t}
-    wbar^{i-t} (1-x)^{-beta-j-(i-t)}.  The result has shape S + (n, n) for
-    points of shape S; the terms with t > min(i, j) carry coefficient 0.
-    """
-    i, j = np.indices((n, n))
-    z = np.asarray(z)[..., None, None]
-    wbar = np.asarray(wbar)[..., None, None]
-    x = z * wbar
-    total = 0.0
-    for t in range(n):
-        coeff = np.array([[math.comb(a, t) * falling(b, t) for b in range(n)] for a in range(n)])
-        rise = np.array([[rising(beta + b, a - t) for b in range(n)] for a in range(n)])
-        total = total + (
-            coeff
-            * z ** np.maximum(j - t, 0)
-            * rise
-            * wbar ** np.maximum(i - t, 0)
-            * (1 - x) ** (-beta - j - (i - t))
-        )
-    return np.array([rising(beta, b) for b in range(n)]) * total
-
-
 @dataclass(frozen=True)
 class Jet(KernelSpec):
     """Rank-(k+1) jet kernel built from two scalar power kernels.
@@ -248,12 +226,44 @@ class Jet(KernelSpec):
     def rank(self) -> int:
         return self.k + 1
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """The point-independent factors of d^i_z d^j_wbar (1 - z wbar)^{-beta}, 0 <= i, j <= k.
+
+        d^j_wbar gives (beta)_j z^j (1-x)^{-beta-j} with x = z wbar; the z
+        derivatives then follow from the Leibniz rule on z^j * (1-x)^{-beta-j}:
+        a sum over t <= min(i, j) of C(i, t) j!/(j-t)! z^{j-t} (beta+j)_{i-t}
+        wbar^{i-t} (1-x)^{-beta-j-(i-t)}.  Returns the row (beta)_j and, per t,
+        the (n, n) tables of C(i, t) j!/(j-t)!, the exponent of z, (beta+j)_{i-t},
+        the exponent of wbar and the exponent of (1-x); the terms with
+        t > min(i, j) carry coefficient 0.
+        """
+        n, beta = self.k + 1, self.beta
+        i, j = np.indices((n, n))
+        terms = tuple(
+            (
+                np.array([[math.comb(a, t) * falling(b, t) for b in range(n)] for a in range(n)]),
+                np.maximum(j - t, 0),
+                np.array([[rising(beta + b, a - t) for b in range(n)] for a in range(n)]),
+                np.maximum(i - t, 0),
+                -beta - j - (i - t),
+            )
+            for t in range(n)
+        )
+        return np.array([rising(beta, b) for b in range(n)]), terms
+
     def evaluate(self, z, w) -> np.ndarray:
         _check_disc(z, w)
         wbar = np.conj(w)
         base = np.asarray((1 - z * wbar) ** (-self.alpha))[..., None, None]
-        entries = _power_kernel_mixed_derivatives(self.beta, self.k + 1, z, wbar)
-        return np.asarray(base * entries, dtype=complex)
+        front, terms = self._tables
+        z = np.asarray(z)[..., None, None]
+        wbar = np.asarray(wbar)[..., None, None]
+        x = z * wbar
+        total = 0.0
+        for coeff, z_exp, rise, w_exp, x_exp in terms:
+            total = total + coeff * z ** z_exp * rise * wbar ** w_exp * (1 - x) ** x_exp
+        return np.asarray(base * (front * total), dtype=complex)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         return jet_taylor_generic(self.alpha, self.beta, self.k, order)
@@ -370,16 +380,27 @@ class Homogeneous(KernelSpec):
     def triangular(self) -> TriangularData:
         return TriangularData.build(self.lam, self.mu, self.m)
 
+    @cached_property
+    def _tables(self) -> tuple:
+        """The point-independent factors of evaluate.
+
+        The terms S^r/r! and (S^*)^r/r! of the two exponentials, B, and the
+        exponents m - l of the diagonal of D(x).
+        """
+        m = self.m
+        S = shift_matrix(m)
+        return (_nilpotent_terms(S), _nilpotent_terms(S.conj().T), self.triangular.B,
+                m - np.arange(m + 1))
+
     def evaluate(self, z, w) -> np.ndarray:
         _check_disc(z, w)
         m = self.m
         wbar = np.conj(w)
         x = np.asarray(z * wbar)[..., None, None]
-        S = shift_matrix(m)
-        expw = _nilpotent_exp(wbar, S)
-        expz = _nilpotent_exp(z, S.conj().T)
-        D = (1 - x) ** (m - np.arange(m + 1))  # the diagonal of D(x), as a row
-        B = self.triangular.B
+        w_terms, z_terms, B, d_exp = self._tables
+        expw = _nilpotent_exp(wbar, w_terms)
+        expz = _nilpotent_exp(z, z_terms)
+        D = (1 - x) ** d_exp  # the diagonal of D(x), as a row
         return (1 - x) ** (-2 * self.lam - m) * (np.swapaxes(D, -1, -2) * (expw @ B @ expz) * D)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
@@ -409,18 +430,26 @@ class Homogeneous(KernelSpec):
         return out
 
 
-def _nilpotent_exp(t, a: np.ndarray) -> np.ndarray:
-    """exp(t a) for a nilpotent matrix a as the exact finite sum of t^r a^r / r!.
+def _nilpotent_terms(a: np.ndarray) -> list:
+    """a^r / r! for r = 1 .. n-1 of an n x n nilpotent matrix a (a^n = 0)."""
+    term = np.eye(a.shape[0], dtype=complex)
+    terms = []
+    for r in range(1, a.shape[0]):
+        term = term @ a / r
+        terms.append(term)
+    return terms
 
-    t is a scalar or an array of shape S; the result has shape S + a.shape.
+
+def _nilpotent_exp(t, terms: list) -> np.ndarray:
+    """exp(t a) as the exact finite sum of t^r a^r / r!, from the terms of :func:`_nilpotent_terms`.
+
+    t is a scalar or an array of shape S; the result has shape S + (n, n).
     """
     t = np.asarray(t)[..., None, None]
-    out = np.eye(a.shape[0], dtype=complex)
+    out = np.eye(len(terms) + 1, dtype=complex)
     power = np.ones_like(t)
-    term = np.eye(a.shape[0], dtype=complex)
-    for r in range(1, a.shape[0]):
+    for term in terms:
         power = power * t
-        term = term @ a / r
         out = out + power * term
     return out
 
@@ -445,15 +474,19 @@ class Permuted(KernelSpec):
     def rank(self) -> int:
         return self.inner.rank
 
+    @cached_property
     def _p(self) -> np.ndarray:
         return permutation_matrix(self.sigma)
 
+    @cached_property
+    def _p_adjoint(self) -> np.ndarray:
+        return self._p.conj().T
+
     def evaluate(self, z, w) -> np.ndarray:
-        p = self._p()
-        return p @ self.inner.evaluate(z, w) @ p.conj().T
+        return self._p @ self.inner.evaluate(z, w) @ self._p_adjoint
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
-        return self.inner.taylor(order).conjugate_by(self._p())
+        return self.inner.taylor(order).conjugate_by(self._p)
 
 
 # -- operation-level functions ------------------------------------------
@@ -478,6 +511,8 @@ def kernel_rank(spec: KernelSpec) -> int:
 def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"'{key}' must be a number, got {value!r:.40}")
+    if not math.isfinite(value):
+        raise ValueError(f"'{key}' must be finite, got {value!r}")
     return float(value)
 
 

@@ -25,9 +25,12 @@ Each route works in three steps.
    nested scalar evaluation would form.
 2. One batch.  The metric is evaluated once per distinct point (exact
    equality) through ``KernelSpec.evaluate`` on whole arrays, in blocks of
-   _BLOCK points.  Many stencil points coincide: at 0 with the default
-   configuration the curvature, (0,1) and (1,1) routes read 72, 576 and
-   5 256 metric values but evaluate only 33, 284 and 2 692 points.
+   _BLOCK points: one call per block for the points on the real axis and
+   one for the others, and none for a kind the block lacks, so off the
+   real axis each block is a single call.  Many stencil points coincide:
+   at 0 with the default configuration the curvature, (0,1) and (1,1)
+   routes read 72, 576 and 5 256 metric values but evaluate only 33, 284
+   and 2 692 points.
 3. Combine.  The values are differenced level by level on stacked
    (..., n, n) arrays with the scalar formulas unchanged:
    G = solve(h, dh) on the stack, then dK + G K - K G for the (1,1) route.
@@ -127,16 +130,18 @@ def _stencil(u, s: float, richardson: bool) -> np.ndarray:
 
 
 def _difference(f: np.ndarray, s: float, bar: bool, richardson: bool) -> np.ndarray:
-    """d (or dbar) from values f on a stencil, shape (..., steps, 4, n, n) -> (..., n, n)."""
+    """d (or dbar) from values f on a stencil, shape (..., steps, 4, n, n) -> (..., n, n).
 
-    def central(v, step):
-        dx = (v[..., 0, :, :] - v[..., 1, :, :]) / (2 * step)
-        dy = (v[..., 2, :, :] - v[..., 3, :, :]) / (2 * step)
-        return 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
-
+    The central difference runs once over the steps axis; richardson then
+    combines its two steps (s/2, s) as (4 D(s/2) - D(s)) / 3.
+    """
+    step = np.array([s / 2, s] if richardson else [s])[:, None, None]
+    dx = (f[..., 0, :, :] - f[..., 1, :, :]) / (2 * step)
+    dy = (f[..., 2, :, :] - f[..., 3, :, :]) / (2 * step)
+    d = 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
     if not richardson:
-        return central(f[..., 0, :, :, :], s)
-    return (4.0 * central(f[..., 0, :, :, :], s / 2) - central(f[..., 1, :, :, :], s)) / 3.0
+        return d[..., 0, :, :]
+    return (4.0 * d[..., 0, :, :] - d[..., 1, :, :]) / 3.0
 
 
 def _metric_values(spec: KernelSpec, points: np.ndarray) -> tuple:
@@ -144,7 +149,8 @@ def _metric_values(spec: KernelSpec, points: np.ndarray) -> tuple:
 
     Returns (values, where) with values[where[i]] = h(points.flat[i]).  The
     distinct points are evaluated in blocks of _BLOCK, those on the real
-    axis as float64 and all others as complex128 (see the module docstring).
+    axis as float64 and all others as complex128 (see the module docstring);
+    a block with no point of one kind makes no call for that kind.
     """
     distinct, where = np.unique(points.ravel(), return_inverse=True)
     real = distinct.imag == 0
@@ -152,8 +158,10 @@ def _metric_values(spec: KernelSpec, points: np.ndarray) -> tuple:
     for start in range(0, distinct.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         x, on_axis = distinct[block], real[block]
-        values[block][on_axis] = spec.evaluate(x.real[on_axis], x.real[on_axis])
-        values[block][~on_axis] = spec.evaluate(x[~on_axis], x[~on_axis])
+        if on_axis.any():
+            values[block][on_axis] = spec.evaluate(x.real[on_axis], x.real[on_axis])
+        if not on_axis.all():
+            values[block][~on_axis] = spec.evaluate(x[~on_axis], x[~on_axis])
     return np.swapaxes(values, -1, -2), where
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -13,6 +14,8 @@ from cdbundle.cli import (
     canonical_json,
     main,
 )
+from cdbundle.kernels import spec_to_dict
+from conftest import zoo_fixtures
 
 BERGMAN2 = {"type": "bergman", "lambda": 2.0}
 JET22 = {"type": "jet", "alpha": 1.0, "beta": 2.0, "k": 2}
@@ -29,6 +32,10 @@ DS_B1_B5 = {
     "parts": [{"type": "bergman", "lambda": 1.0}, {"type": "bergman", "lambda": 5.0}],
 }
 JET1_B1 = {"type": "jet", "alpha": 1.0, "beta": 1.0, "k": 1}
+NON_FINITE_SPECS = [
+    {"type": "bergman", "lambda": float("inf")},
+    {**HOM, "mu": [1.0, float("nan"), 1.0]},
+]
 
 
 def write(tmp_path, name, payload):
@@ -172,6 +179,17 @@ def test_field_csv(tmp_path, capsys):
     assert out_csv.read_bytes() == text
 
 
+@pytest.mark.parametrize("grid", ["-1", "0", "1", "2"])
+def test_field_grid_below_three_is_a_parse_failure(tmp_path, capsys, grid):
+    path = write(tmp_path, "b3.json", {"type": "bergman", "lambda": 3.0})
+    out_csv = tmp_path / "field.csv"
+    code, out, err = run(capsys, ["field", "--kernel", path, "--grid", grid, "--out", str(out_csv)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_csv.exists()
+
+
 def test_parse_failures(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -198,6 +216,7 @@ def test_parse_failures(tmp_path, capsys):
         {"type": "direct_sum", "parts": 5},
         {**HOM, "mu": None},
         {"type": "bergman", "lambda": [1]},
+        *NON_FINITE_SPECS,
     ],
 )
 def test_mistyped_spec_values(tmp_path, capsys, spec):
@@ -206,6 +225,105 @@ def test_mistyped_spec_values(tmp_path, capsys, spec):
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+def test_field_rejects_non_finite_spec_values(tmp_path, capsys, spec):
+    path = write(tmp_path, "bad.json", spec)
+    code, out, err = run(capsys, ["field", "--kernel", path, "--out", str(tmp_path / "f.csv")])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NUMBER_FIELDS = {"lambda", "alpha", "beta", "k", "m"}
+NOT_A_NUMBER = ["2", None, True, [1.0], {"re": 1.0}, float("nan"), float("inf")]
+NOT_A_LIST = ["1", None, 3, {"0": 1}]
+NOT_A_SPEC = [5, "bergman", None, [], [BERGMAN2]]
+
+
+def _spec_objects(spec):
+    """Every kernel-spec object of a spec tree, the root first."""
+    yield spec
+    for part in spec.get("parts", []):
+        yield from _spec_objects(part)
+    if "inner" in spec:
+        yield from _spec_objects(spec["inner"])
+
+
+def _wrong_value(rng, key):
+    if key in NUMBER_FIELDS:
+        pool = NOT_A_NUMBER
+    elif key == "inner":
+        pool = NOT_A_SPEC
+    elif key == "type":
+        pool = ["spectral", None, 3, ["bergman"]]
+    else:
+        pool = NOT_A_LIST
+    return pool[rng.integers(len(pool))]
+
+
+# each way of breaking a spec object, with the fields it needs (none: any object)
+MALFORMATIONS = {
+    "wrong type": (),
+    "missing field": (),
+    "extra field": (),
+    "wrong element type": ("mu", "sigma", "parts"),
+    "non-integral": ("k", "m", "sigma"),
+    "bad sigma": ("sigma",),
+}
+
+
+def _malform(rng, kind, node):
+    """Break the spec object `node` in place in the way `kind` names."""
+    keys = sorted(node)
+    fields = [k for k in MALFORMATIONS[kind] if k in node]
+    if kind == "wrong type":
+        key = keys[rng.integers(len(keys))]
+        node[key] = _wrong_value(rng, key)
+    elif kind == "missing field":
+        del node[keys[rng.integers(len(keys))]]
+    elif kind == "extra field":
+        node[["extra", "lam", "order", "weights"][rng.integers(4)]] = 1.0
+    elif kind == "wrong element type":
+        items = node[fields[0]]
+        pool = NOT_A_SPEC if fields[0] == "parts" else NOT_A_NUMBER
+        items[rng.integers(len(items))] = pool[rng.integers(len(pool))]
+    elif kind == "non-integral":
+        if fields[0] == "sigma":
+            node["sigma"][rng.integers(len(node["sigma"]))] += 0.5
+        else:
+            node[fields[0]] += 0.5
+    else:
+        sigma = node["sigma"]
+        node["sigma"] = [
+            [sigma[0]] * len(sigma),  # repeated entry
+            [s - 1 for s in sigma],  # zero-based
+            sigma[:-1],  # too short
+            sigma + [len(sigma) + 1],  # too long
+        ][rng.integers(4)]
+
+
+def test_malformed_spec_corpus(tmp_path, capsys, rng):
+    base = [spec_to_dict(spec) for _, spec in zoo_fixtures()]
+    targets = {
+        kind: [(s, n) for s, spec in enumerate(base) for n, node in enumerate(_spec_objects(spec))
+               if not needs or any(k in node for k in needs)]
+        for kind, needs in MALFORMATIONS.items()
+    }
+    kinds = sorted(MALFORMATIONS)
+    for case in range(72):
+        kind = kinds[case % len(kinds)]
+        s, n = targets[kind][rng.integers(len(targets[kind]))]
+        spec = copy.deepcopy(base[s])
+        node = list(_spec_objects(spec))[n]
+        _malform(rng, kind, node)
+        path = write(tmp_path, f"bad{case}.json", spec)
+        code, out, err = run(capsys, ["invariants", "--kernel", path])
+        what = (kind, spec)
+        assert code == EXIT_PARSE, what
+        assert out == "", what
+        assert err.startswith("error: ") and err.count("\n") == 1, (what, err)
 
 
 @pytest.mark.parametrize("depth", [100, 1500])

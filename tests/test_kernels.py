@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -268,6 +270,62 @@ def test_batched_evaluate_checks_every_point():
             spec.evaluate(z, z)
         with pytest.raises(DiscDomainError):
             spec.evaluate(z.real, np.full(5, 1.5))
+
+
+def _table_specs():
+    """Freshly built specs whose evaluate keeps point-independent tables on the spec."""
+    hom2 = Homogeneous(lam=2.0, mu=(1.0, 1.0, 1.0), m=2)
+    return [
+        Jet(alpha=1.0, beta=2.0, k=2),
+        Jet(alpha=1.0, beta=5.0, k=2),
+        Homogeneous(lam=1.0, mu=(1.0, 1.0), m=1),
+        hom2,
+        Permuted(inner=hom2, sigma=(2, 1, 3)),
+    ]
+
+
+def test_tables_are_kept_per_spec():
+    rng = np.random.default_rng(11)
+    z = 0.6 * (rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8)) / np.sqrt(2)
+    x = rng.uniform(-0.6, 0.6, 8)
+    specs = _table_specs()
+    before = [(hash(spec), spec_to_dict(spec)) for spec in specs]
+    # every spec at one stack before any spec moves on to the next
+    for a, b in ((z, z[::-1]), (x, x), (z, z), (x[0].item(), x[1].item())):
+        for k, spec in enumerate(specs):
+            fresh = _table_specs()[k]
+            assert spec.evaluate(a, b).tobytes() == fresh.evaluate(a, b).tobytes(), spec
+    for spec, fresh, (hashed, as_dict) in zip(specs, _table_specs(), before):
+        assert spec == fresh
+        assert hash(spec) == hashed
+        assert spec_to_dict(spec) == as_dict
+    assert specs[0] != specs[1]
+
+
+def test_first_use_tables_under_threads():
+    z = 0.5 * np.exp(1j * np.linspace(0.0, 6.0, 64))
+    serial = [spec.evaluate(z, z) for spec in _table_specs()]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for expected, spec in zip(serial, _table_specs()):
+            barrier = threading.Barrier(4)
+            results = [None] * 4
+
+            def work(slot, spec=spec, barrier=barrier, results=results):
+                barrier.wait(timeout=10)
+                results[slot] = spec.evaluate(z, z)
+
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            for got in results:
+                assert got is not None and got.tobytes() == expected.tobytes(), spec
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_json_round_trip():

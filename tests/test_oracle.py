@@ -20,6 +20,7 @@ from cdbundle import (
     oracle_invariants_at_zero,
     to_orthonormal_frame,
 )
+from cdbundle.oracle import _BLOCK
 from conftest import zoo_fixtures
 
 
@@ -35,15 +36,18 @@ class ConstantMetric:
 
 
 class CountingMetric:
-    """Test double that records every point at which a zoo kernel is evaluated."""
+    """Test double that records every point at which a zoo kernel is evaluated,
+    and the number of points of each call."""
 
     def __init__(self, spec):
         self._spec = spec
         self.rank = spec.rank
         self.points = []
+        self.calls = []
 
     def evaluate(self, z, w):
         self.points.extend(np.ravel(z).tolist())
+        self.calls.append(np.size(z))
         return self._spec.evaluate(z, w)
 
 
@@ -94,6 +98,16 @@ def test_each_route_evaluates_each_distinct_point_once(route, distinct):
         counting = CountingMetric(spec)
         route(counting, 0.0)
         assert len(counting.points) == len(set(counting.points)) == distinct, name
+        assert 0 not in counting.calls, name
+
+
+@pytest.mark.parametrize("route", [curvature_fd, covd_zbar_fd, covd_zzbar_fd])
+def test_off_axis_routes_evaluate_once_per_block(route):
+    for name, spec in zoo_fixtures():
+        counting = CountingMetric(spec)
+        route(counting, 0.1 + 0.2j)
+        full, rest = divmod(len(counting.points), _BLOCK)
+        assert counting.calls == [_BLOCK] * full + [rest] * (rest > 0), name
 
 
 def test_covd_zbar_at_zero():
