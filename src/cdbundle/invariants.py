@@ -25,7 +25,13 @@ import numpy as np
 
 from .errors import DiscDomainError, TruncationOrderError
 from .kernels import TriangularData, shift_matrix, weighted_shift
-from .series import MatrixPowerSeries2, assert_hermitian, hermitian_sqrt
+from .series import (
+    MatrixPowerSeries2,
+    _cauchy_term,
+    assert_hermitian,
+    hermitian_sqrt,
+    leading_inverse,
+)
 
 CURVATURE_HERM_TOL = 1e-10
 # The highest lattice index the invariants at 0 read: a~[1,1], a~[1,2], a~[2,2].
@@ -65,29 +71,62 @@ class PointInvariants:
         return np.linalg.eigvalsh(0.5 * (self.curvature + self.curvature.conj().T))
 
 
+def _normalized_cells(K: MatrixPowerSeries2, cells) -> np.ndarray:
+    """The cells (k, l) of the normalized lattice of K, zero elsewhere.
+
+    K~ = a00^{1/2} L K R a00^{1/2} with L = K(z,0)^{-1}, a series in z
+    alone, and R = K(0,w)^{-1}, a series in conj(w) alone.  As R has one
+    row, cell (k, l) of (L K) R reads only row k of L K, columns <= l, and
+    that row reads L down to row k; only these coefficients are computed.
+    Each is the same Cauchy term, on arrays of the same shape, as in the
+    full composition, and the terms left out multiply zero blocks of R, so
+    every cell is bit-identical to the full lattice's.
+    """
+    a = K.coeffs
+    a00 = assert_hermitian(a[0, 0], what="constant kernel coefficient")
+    half = hermitian_sqrt(a00)
+    a00_inv = leading_inverse(a00)
+    width = {}  # row k of L K -> its highest column read
+    for k, l in cells:
+        width[k] = max(width.get(k, 0), l)
+    left, right, lk, out = (np.zeros_like(a) for _ in range(4))
+    left[0, 0] = right[0, 0] = a00_inv
+    for k in range(1, max(width) + 1):
+        left[k, 0] = -_cauchy_term(left, a, k, 0) @ a00_inv
+    for l in range(1, max(width.values()) + 1):
+        right[0, l] = -_cauchy_term(right, a, 0, l) @ a00_inv
+    for k, top in width.items():
+        for l in range(top + 1):
+            lk[k, l] = _cauchy_term(left, a, k, l)
+    for k, l in cells:
+        out[k, l] = _cauchy_term(lk, right, k, l)
+    return np.einsum("ij,kljm,mn->klin", half, out, half)
+
+
 def normalize(K: MatrixPowerSeries2) -> MatrixPowerSeries2:
     """Normalized kernel series: a~[0,0] = I, a~[k,0] = a~[0,l] = 0.
 
     Computed by series composition: invert the z-only slice K(z, 0) and the
     w-only slice K(0, w), multiply through, and sandwich with the principal
-    square root of the constant term.  Raises MetricDegeneracyError when
-    the constant term is not positive definite.
+    square root of the constant term; every cell of the lattice is computed.
+    Raises MetricDegeneracyError when the constant term is not positive
+    definite and SingularLeadingTermError when it is numerically singular.
     """
-    a00 = assert_hermitian(K.coeff(0, 0), what="constant kernel coefficient")
-    half = hermitian_sqrt(a00)
-    left = K.z_slice().invert()
-    right = K.w_slice().invert()
-    return left.multiply(K).multiply(right).sandwich(half, half)
+    N = K.order
+    return MatrixPowerSeries2(_normalized_cells(K, list(np.ndindex(N + 1, N + 1))))
 
 
 def invariants_at_zero(K: MatrixPowerSeries2) -> PointInvariants:
-    """Series-path invariants at 0: curvature, (0,1) and (1,1) derivatives."""
+    """Series-path invariants at 0: curvature, (0,1) and (1,1) derivatives.
+
+    Computes only the cells a~[1,1], a~[1,2] and a~[2,2] of the normalized
+    lattice of K truncated at INVARIANT_ORDER, bit-identical to the same
+    cells of ``normalize``.
+    """
     if K.order < INVARIANT_ORDER:
         raise TruncationOrderError(f"invariants at 0 need series order >= {INVARIANT_ORDER}")
-    norm = normalize(K.truncate(INVARIANT_ORDER))
-    a11 = norm.coeff(1, 1)
-    a12 = norm.coeff(1, 2)
-    a22 = norm.coeff(2, 2)
+    norm = _normalized_cells(K.truncate(INVARIANT_ORDER), ((1, 1), (1, 2), (2, 2)))
+    a11, a12, a22 = norm[1, 1], norm[1, 2], norm[2, 2]
     return PointInvariants(
         point=0.0,
         curvature=a11.T,
@@ -97,11 +136,15 @@ def invariants_at_zero(K: MatrixPowerSeries2) -> PointInvariants:
 
 
 def covd_zbar_n_at_zero(K: MatrixPowerSeries2, n: int) -> np.ndarray:
-    """(n+1)! a~[1, n+1]^t — the order-(0,n) covariant derivative at 0."""
+    """(n+1)! a~[1, n+1]^t — the order-(0,n) covariant derivative at 0.
+
+    Computes only the cell a~[1, n+1] of the normalized lattice of K
+    truncated at n + 1, bit-identical to the same cell of ``normalize``.
+    """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    norm = normalize(K.truncate(n + 1))
-    return math.factorial(n + 1) * norm.coeff(1, n + 1).T
+    norm = _normalized_cells(K.truncate(n + 1), ((1, n + 1),))
+    return math.factorial(n + 1) * norm[1, n + 1].T
 
 
 # -- closed forms for the homogeneous family -------------------------------

@@ -13,8 +13,10 @@ Conventions
   positive definite.  A "normalized-grade" series additionally has
   a[0,0] = I and a[k,0] = a[0,l] = 0 for k,l >= 1.  These grades are
   checked by predicates, not encoded in the type.
-* Storage is dense over [0,N]^2: ranks stay <= 4 and orders <= 12 in all
-  supported workloads, so sparsity would buy nothing.
+* Storage is dense over [0,N]^2 (ranks stay <= 4 and orders <= 12 in all
+  supported workloads), but a product skips each coefficient in whose
+  Cauchy sum every term has an all-zero block factor: the factors of a
+  homogeneous kernel's lattice are diagonal, single-row or single-column.
 
 All values are immutable after construction (the coefficient array is set
 read-only), every operation is a pure function, and nothing here mutates
@@ -28,6 +30,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DiscDomainError,
+    MetricDegeneracyError,
     SingularLeadingTermError,
     TruncationOrderError,
 )
@@ -38,7 +41,7 @@ TOL_HERM = 1e-12
 
 def require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=complex)
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite entries")
     return arr
 
@@ -59,14 +62,30 @@ def assert_hermitian(a: np.ndarray, tol: float = TOL_HERM, what: str = "matrix")
     return a
 
 
+def leading_inverse(a00: np.ndarray) -> np.ndarray:
+    """a00^{-1} for the constant coefficient of a series to be inverted.
+
+    Raises SingularLeadingTermError when a00 is singular or its condition
+    number exceeds 1e14.
+    """
+    try:
+        a00_inv = np.linalg.inv(a00)
+    except np.linalg.LinAlgError as exc:
+        raise SingularLeadingTermError("constant coefficient is singular") from exc
+    cond = np.linalg.cond(a00)
+    if not np.isfinite(cond) or cond > 1e14:
+        raise SingularLeadingTermError(
+            f"constant coefficient numerically singular (cond {cond:.3e})"
+        )
+    return a00_inv
+
+
 def hermitian_sqrt(a: np.ndarray, floor: float = 1e-10) -> np.ndarray:
     """Principal square root of a Hermitian positive definite matrix.
 
     Eigenvalues below `floor` are rejected rather than clipped: a degenerate
     metric invalidates every downstream invariant formula.
     """
-    from .errors import MetricDegeneracyError
-
     a = assert_hermitian(a, what="sqrt argument")
     vals, vecs = np.linalg.eigh(a)
     if vals.min() < floor:
@@ -136,25 +155,28 @@ class MatrixPowerSeries2:
     # -- algebra -------------------------------------------------------
 
     def multiply(self, other: "MatrixPowerSeries2") -> "MatrixPowerSeries2":
-        """Cauchy product over both indices, truncated at the common order."""
+        """Cauchy product over both indices, truncated at the common order.
+
+        A coefficient whose every term has an all-zero block factor is not
+        summed; it stays +0, the value the sum would give.
+        """
         self._check_compatible(other)
         N = self.order
         a, b = self.coeffs, other.coeffs
         out = np.zeros_like(a)
-        for k in range(N + 1):
-            for l in range(N + 1):
-                out[k, l] = _cauchy_term(a, b, k, l)
+        # reach[k, l]: some term a[k-p,l-q] b[p,q] has two nonzero blocks
+        a_nonzero, b_nonzero = a.any(axis=(2, 3)), b.any(axis=(2, 3))
+        reach = np.zeros_like(a_nonzero)
+        for p, q in zip(*np.nonzero(b_nonzero)):
+            reach[p:, q:] |= a_nonzero[: N + 1 - p, : N + 1 - q]
+        for k, l in zip(*np.nonzero(reach)):
+            out[k, l] = _cauchy_term(a, b, k, l)
         return MatrixPowerSeries2(out)
 
     def conjugate_by(self, g: np.ndarray) -> "MatrixPowerSeries2":
         """Coefficientwise g . a[k,l] . g^*."""
         g = require_finite(g, "conjugation factor")
         return MatrixPowerSeries2(np.einsum("ij,kljm,nm->klin", g, self.coeffs, g.conj()))
-
-    def sandwich(self, left: np.ndarray, right: np.ndarray) -> "MatrixPowerSeries2":
-        left = require_finite(left, "left factor")
-        right = require_finite(right, "right factor")
-        return MatrixPowerSeries2(np.einsum("ij,kljm,mn->klin", left, self.coeffs, right))
 
     def invert(self) -> "MatrixPowerSeries2":
         """Series inverse B with B A = A B = identity up to order N.
@@ -164,35 +186,16 @@ class MatrixPowerSeries2:
         b[k,l] = -( sum_{(p,q) < (k,l)} b[p,q] a[k-p,l-q] ) a[0,0]^{-1}.
         Specializing to l = 0 this is the one-row recursion
         sum_{s<=k} b[s,0] a[k-s,0] = 0 used by the coefficient identities.
-
-        A series in z alone (only the l = 0 column nonzero, as for
-        ``z_slice``) has an inverse in z alone, so only that column is
-        computed; likewise a series in conj(w) alone.  The column entries
-        sum the same terms in the same order as the full loop.
         """
         N = self.order
         a = self.coeffs
-        a00 = a[0, 0]
-        try:
-            a00_inv = np.linalg.inv(a00)
-        except np.linalg.LinAlgError as exc:
-            raise SingularLeadingTermError("constant coefficient is singular") from exc
-        cond = np.linalg.cond(a00)
-        if not np.isfinite(cond) or cond > 1e14:
-            raise SingularLeadingTermError(
-                f"constant coefficient numerically singular (cond {cond:.3e})"
-            )
+        a00_inv = leading_inverse(a[0, 0])
         b = np.zeros_like(a)
         b[0, 0] = a00_inv
-        rows, cols = range(N + 1), range(N + 1)
-        if not a[:, 1:].any():
-            cols = range(1)
-        elif not a[1:, :].any():
-            rows = range(1)
         # row-major order: every b[p,q] with p <= k, q <= l is known, and
         # b[k,l] itself is still zero while its own term is summed
-        for k in rows:
-            for l in cols:
+        for k in range(N + 1):
+            for l in range(N + 1):
                 if k or l:
                     b[k, l] = -_cauchy_term(b, a, k, l) @ a00_inv
         return MatrixPowerSeries2(b)
@@ -213,18 +216,6 @@ class MatrixPowerSeries2:
         zp = z ** np.arange(N + 1)
         wp = np.conj(w) ** np.arange(N + 1)
         return np.einsum("k,l,klij->ij", zp, wp, self.coeffs)
-
-    def z_slice(self) -> "MatrixPowerSeries2":
-        """The series of K(z, 0): keeps only the l = 0 column."""
-        c = np.zeros_like(self.coeffs)
-        c[:, 0] = self.coeffs[:, 0]
-        return MatrixPowerSeries2(c)
-
-    def w_slice(self) -> "MatrixPowerSeries2":
-        """The series of K(0, w): keeps only the k = 0 row."""
-        c = np.zeros_like(self.coeffs)
-        c[0, :] = self.coeffs[0, :]
-        return MatrixPowerSeries2(c)
 
     def is_normalized_grade(self, tol: float = 1e-11) -> bool:
         c = self.coeffs

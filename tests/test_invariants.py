@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from cdbundle import (
     Jet,
     MetricDegeneracyError,
     PointInvariants,
+    SingularLeadingTermError,
     TruncationOrderError,
     covd_zbar_n_at_zero,
     homogeneous_invariants_closed,
@@ -16,6 +19,7 @@ from cdbundle import (
     normalize,
     transport_eigenvalues,
 )
+from cdbundle import invariants, series
 from cdbundle.invariants import curvature_diag_from_abc, dzbar_from_abc, homogeneous_abc
 from cdbundle.series import MatrixPowerSeries2, assert_hermitian, hermitian_sqrt
 from conftest import random_kernel_series, zoo_fixtures
@@ -203,6 +207,69 @@ def test_invariants_independent_of_lattice_order(name, spec):
                               covd_zbar_n_at_zero(lattice, n)), n
 
 
+def _lattices(rng):
+    """(name, order, lattice) at orders 2-6: the zoo fixtures and three random kernel series."""
+    full = [(name, kernel_taylor(spec, 6)) for name, spec in zoo_fixtures()]
+    full += [(f"random_rank{r}", random_kernel_series(rng, rank=r, order=6)) for r in (1, 2, 3)]
+    return [(name, order, K.truncate(order)) for name, K in full for order in range(2, 7)]
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and all(
+        np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+        for part in ("real", "imag"))
+
+
+def _composed_normalize(K):
+    """The normalized lattice by full composition, from the public series algebra."""
+    a = K.coeffs
+    z_only, w_only = np.zeros_like(a), np.zeros_like(a)
+    z_only[:, 0], w_only[0, :] = a[:, 0], a[0, :]
+    left = MatrixPowerSeries2(z_only).invert()
+    right = MatrixPowerSeries2(w_only).invert()
+    half = hermitian_sqrt(K.coeff(0, 0))
+    return np.einsum("ij,kljm,mn->klin", half, left.multiply(K).multiply(right).coeffs, half)
+
+
+def test_restricted_cells_match_full_normalize(rng):
+    for name, order, K in _lattices(rng):
+        norm = normalize(K)
+        assert _same_bits(norm.coeffs, _composed_normalize(K)), (name, order)
+        a11, a12, a22 = norm.coeff(1, 1), norm.coeff(1, 2), norm.coeff(2, 2)
+        inv = invariants_at_zero(K)
+        assert _same_bits(inv.curvature, a11.T), (name, order)
+        assert _same_bits(inv.d_zbar, 2.0 * a12.T), (name, order)
+        assert _same_bits(inv.d_zzbar, (2.0 * (2.0 * a22 - a11 @ a11)).T), (name, order)
+        for n in range(1, order):
+            want = math.factorial(n + 1) * norm.coeff(1, n + 1).T
+            assert _same_bits(covd_zbar_n_at_zero(K, n), want), (name, order, n)
+
+
+def test_cauchy_term_counts(monkeypatch):
+    # deterministic work counts of the series path: one count per coefficient sum
+    calls = []
+    cauchy_term = series._cauchy_term
+
+    def counted(*args):
+        calls.append(args[2:])
+        return cauchy_term(*args)
+
+    monkeypatch.setattr(series, "_cauchy_term", counted)
+    monkeypatch.setattr(invariants, "_cauchy_term", counted)
+
+    def count(fn, *args):
+        calls.clear()
+        fn(*args)
+        return len(calls)
+
+    hom = dict(zoo_fixtures())["hom_m2"]
+    assert count(kernel_taylor, hom, 6) == 101  # five products of sparse factors, 245 dense
+    lattice = kernel_taylor(hom, 6)
+    assert count(invariants_at_zero, lattice) == 13
+    assert [count(covd_zbar_n_at_zero, lattice, n) for n in (1, 2, 3, 4)] == [7, 9, 11, 13]
+    assert count(normalize, lattice.truncate(2)) == 2 + 2 + 9 + 9
+
+
 def test_homogeneous_closed_m2_reference_values():
     inv = homogeneous_invariants_closed(2.0, (1.0, 1.0, 1.0), 2)
     assert np.allclose(
@@ -261,6 +328,10 @@ def test_normalize_rejects_degenerate_constant_term():
     c[0, 0] = np.diag([1.0, 0.0])
     with pytest.raises(MetricDegeneracyError):
         normalize(MatrixPowerSeries2(c))
+    c[0, 0] = np.diag([1e6, 1e-9])  # positive definite, condition number 1e15
+    for route in (normalize, invariants_at_zero, lambda K: covd_zbar_n_at_zero(K, 1)):
+        with pytest.raises(SingularLeadingTermError):
+            route(MatrixPowerSeries2(c))
 
 
 def test_point_invariants_validation():

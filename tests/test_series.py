@@ -48,6 +48,29 @@ def test_multiply_geometric_square_matches_binomial():
             assert prod.coeffs[k, l, 0, 0] == pytest.approx(expected, abs=1e-14)
 
 
+def test_multiply_skip_is_exact(rng):
+    # sparse block supports: the skipped coefficients must hold what the dense sum gives
+    def lattice(support):
+        c = rng.standard_normal((5, 5, 2, 2)) + 1j * rng.standard_normal((5, 5, 2, 2))
+        return MatrixPowerSeries2(np.where(support[:, :, None, None], c, 0.0))
+
+    row0, column0, constant, corner = (np.zeros((5, 5), dtype=bool) for _ in range(4))
+    row0[0, :] = column0[:, 0] = constant[0, 0] = corner[3:, 3:] = True
+    supports = [np.eye(5, dtype=bool), row0, column0, constant, corner, np.ones((5, 5), dtype=bool)]
+    for left in supports:
+        for right in supports:
+            a, b = lattice(left), lattice(right)
+            dense = np.zeros_like(a.coeffs)
+            for k in range(5):
+                for l in range(5):
+                    dense[k, l] = np.einsum("pqij,pqjk->ik", a.coeffs[: k + 1, : l + 1],
+                                            b.coeffs[k::-1, l::-1])
+            got = a.multiply(b).coeffs
+            assert np.array_equal(got, dense)
+            for part in ("real", "imag"):
+                assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(dense, part)))
+
+
 def test_multiply_shape_mismatch_raises(rng):
     a = random_kernel_series(rng, rank=2, order=3)
     b = random_kernel_series(rng, rank=3, order=3)
