@@ -60,7 +60,6 @@ from .kernels import (
     spec_from_dict,
     spec_to_dict,
 )
-from .mobius import MobiusMap, cocycle_c, mobius_compose, mobius_inverse
 from .oracle import (
     FDConfig,
     covd_zbar_fd,

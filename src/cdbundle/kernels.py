@@ -404,30 +404,24 @@ class Homogeneous(KernelSpec):
         return (1 - x) ** (-2 * self.lam - m) * (np.swapaxes(D, -1, -2) * (expw @ B @ expz) * D)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
-        m, n = self.m, self.m + 1
-        N = order
+        """The lattice in closed form.
+
+        Entry (i, j) of K is (1-x)^{-(2 lambda - m + i + j)} times entry
+        (i, j) of exp(conj(w) S) B exp(z S^*), whose z^k conj(w)^l
+        coefficient is F[k,l] = (S^l/l!) B ((S^*)^k/k!).  With
+        c_t(a) = (a)_t / t!, the x^t coefficient of (1-x)^{-a},
+
+            a[k,l]_ij = sum_{t <= min(k,l)} c_t(2 lambda - m + i + j) F[k-t, l-t]_ij.
+        """
+        m, N = self.m, order
         S = shift_matrix(m)
-        power = np.zeros((N + 1, N + 1, n, n), dtype=complex)
-        for k in range(N + 1):
-            power[k, k] = rising(2 * self.lam + m, k) / math.factorial(k) * np.eye(n)
-        dfac = np.zeros_like(power)
-        for k in range(N + 1):
-            dfac[k, k] = np.diag(
-                np.array([math.comb(m - l, k) * (-1.0) ** k if k <= m - l else 0.0
-                          for l in range(m + 1)], dtype=complex)
-            )
-        expw = np.zeros_like(power)
-        expz = np.zeros_like(power)
-        for r in range(min(m, N) + 1):
-            expw[0, r] = np.linalg.matrix_power(S, r) / math.factorial(r)
-            expz[r, 0] = np.linalg.matrix_power(S.conj().T, r) / math.factorial(r)
-        Bser = np.zeros_like(power)
-        Bser[0, 0] = self.triangular.B
-        factors = [MatrixPowerSeries2(c) for c in (power, dfac, expw, Bser, expz, dfac)]
-        out = factors[0]
-        for f in factors[1:]:
-            out = out.multiply(f)
-        return out
+        P = np.array([np.linalg.matrix_power(S, r) / math.factorial(r) for r in range(N + 1)])
+        F = np.einsum("lab,b,kdb->klad", P, self.triangular.d, P.conj())
+        a = 2 * self.lam - m + np.add.outer(np.arange(m + 1), np.arange(m + 1))
+        out = np.zeros_like(F)
+        for t in range(N + 1):
+            out[t:, t:] += rising(a, t) / math.factorial(t) * F[: N + 1 - t, : N + 1 - t]
+        return MatrixPowerSeries2(out)
 
 
 def _nilpotent_terms(a: np.ndarray) -> list:

@@ -60,7 +60,6 @@ import numpy as np
 
 from .errors import DiscDomainError, MetricDegeneracyError
 from .kernels import KernelSpec
-from .series import hermitian_sqrt
 
 # largest accepted deviation of the richardson oracle from the series path at 0
 ORACLE_CROSS_CHECK_TOL = 1e-5
@@ -236,8 +235,20 @@ def to_orthonormal_frame(M: np.ndarray, h0: np.ndarray) -> np.ndarray:
     root (left +1/2, right -1/2) is pinned by the requirement that the
     oracle's output at 0 matches the series path; the matching test lives in
     the test suite.
+
+    Raises ValueError when h0 is not finite or not Hermitian within 1e-12,
+    and MetricDegeneracyError when an eigenvalue of h0 is below 1e-10.
     """
-    half = hermitian_sqrt(h0)
+    h0 = np.asarray(h0, dtype=complex)
+    if not np.isfinite(h0).all():
+        raise ValueError("metric contains non-finite entries")
+    defect = np.abs(h0.conj().T - h0).max(initial=0.0)
+    if defect > 1e-12:
+        raise ValueError(f"metric is not Hermitian within 1e-12 (defect {defect:.3e})")
+    vals, vecs = np.linalg.eigh(h0)
+    if vals.min() < 1e-10:
+        raise MetricDegeneracyError(f"metric not positive definite (min eigenvalue {vals.min():.3e})")
+    half = (vecs * np.sqrt(vals)) @ vecs.conj().T
     return half @ M @ np.linalg.inv(half)
 
 

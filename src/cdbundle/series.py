@@ -12,11 +12,9 @@ Conventions
 * A "kernel-grade" series satisfies a[k,l]^* = a[l,k] with a[0,0] Hermitian
   positive definite.  A "normalized-grade" series additionally has
   a[0,0] = I and a[k,0] = a[0,l] = 0 for k,l >= 1.  These grades are
-  checked by predicates, not encoded in the type.
-* Storage is dense over [0,N]^2 (ranks stay <= 4 and orders <= 12 in all
-  supported workloads), but a product skips each coefficient in whose
-  Cauchy sum every term has an all-zero block factor: the factors of a
-  homogeneous kernel's lattice are diagonal, single-row or single-column.
+  not encoded in the type.
+* Storage is dense over [0,N]^2: ranks stay <= 4 and orders <= 12 in all
+  supported workloads, so sparsity would buy nothing.
 
 All values are immutable after construction (the coefficient array is set
 read-only), every operation is a pure function, and nothing here mutates
@@ -115,21 +113,6 @@ class MatrixPowerSeries2:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MatrixPowerSeries2 is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def identity(cls, rank: int, order: int) -> "MatrixPowerSeries2":
-        c = np.zeros((order + 1, order + 1, rank, rank), dtype=complex)
-        c[0, 0] = np.eye(rank)
-        return cls(c)
-
-    @classmethod
-    def from_coeff_dict(cls, rank: int, order: int, entries: dict) -> "MatrixPowerSeries2":
-        c = np.zeros((order + 1, order + 1, rank, rank), dtype=complex)
-        for (k, l), mat in entries.items():
-            c[k, l] = np.asarray(mat, dtype=complex)
-        return cls(c)
-
     # -- basic accessors ----------------------------------------------
 
     def coeff(self, k: int, l: int) -> np.ndarray:
@@ -155,22 +138,14 @@ class MatrixPowerSeries2:
     # -- algebra -------------------------------------------------------
 
     def multiply(self, other: "MatrixPowerSeries2") -> "MatrixPowerSeries2":
-        """Cauchy product over both indices, truncated at the common order.
-
-        A coefficient whose every term has an all-zero block factor is not
-        summed; it stays +0, the value the sum would give.
-        """
+        """Cauchy product over both indices, truncated at the common order."""
         self._check_compatible(other)
         N = self.order
         a, b = self.coeffs, other.coeffs
         out = np.zeros_like(a)
-        # reach[k, l]: some term a[k-p,l-q] b[p,q] has two nonzero blocks
-        a_nonzero, b_nonzero = a.any(axis=(2, 3)), b.any(axis=(2, 3))
-        reach = np.zeros_like(a_nonzero)
-        for p, q in zip(*np.nonzero(b_nonzero)):
-            reach[p:, q:] |= a_nonzero[: N + 1 - p, : N + 1 - q]
-        for k, l in zip(*np.nonzero(reach)):
-            out[k, l] = _cauchy_term(a, b, k, l)
+        for k in range(N + 1):
+            for l in range(N + 1):
+                out[k, l] = _cauchy_term(a, b, k, l)
         return MatrixPowerSeries2(out)
 
     def conjugate_by(self, g: np.ndarray) -> "MatrixPowerSeries2":
@@ -216,13 +191,6 @@ class MatrixPowerSeries2:
         zp = z ** np.arange(N + 1)
         wp = np.conj(w) ** np.arange(N + 1)
         return np.einsum("k,l,klij->ij", zp, wp, self.coeffs)
-
-    def is_normalized_grade(self, tol: float = 1e-11) -> bool:
-        c = self.coeffs
-        if np.abs(c[0, 0] - np.eye(self.rank)).max() > tol:
-            return False
-        off = max(np.abs(c[1:, 0]).max(initial=0.0), np.abs(c[0, 1:]).max(initial=0.0))
-        return off <= tol
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatrixPowerSeries2(rank={self.rank}, order={self.order})"

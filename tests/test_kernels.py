@@ -194,6 +194,19 @@ def test_homogeneous_taylor_low_coefficients():
     assert np.abs(ser.coeff(1, 1) - a11).max() < 1e-13
 
 
+@pytest.mark.parametrize("spec", [
+    Homogeneous(1.3, (1.0, 0.8), 1),
+    Homogeneous(1.6, (1.0, 1.4, 0.6), 2),
+    Homogeneous(2.3, (1.0, 0.7, 1.9, 0.4), 3),
+    Permuted(inner=Homogeneous(2.3, (1.0, 0.7, 1.9, 0.4), 3), sigma=(3, 1, 4, 2)),
+], ids=["m1", "m2", "m3", "m3_permuted"])
+def test_homogeneous_taylor_matches_quadrature_oracle(spec):
+    # the closed-form lattice against Fourier quadrature on the closed-form kernel
+    ser = kernel_taylor(spec, 6)
+    ref = fourier_lattice(spec.evaluate, 6, spec.rank)
+    assert np.abs(ser.coeffs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_kernel_hermitian_symmetry_all_variants():
     for name, spec in zoo_fixtures():
         for z, w in SAMPLE_POINTS:

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -8,8 +11,7 @@ from cdbundle import (
     FDConfig,
     Homogeneous,
     Jet,
-    MobiusMap,
-    cocycle_c,
+    MetricDegeneracyError,
     covd_zbar_fd,
     covd_zzbar_fd,
     curvature_eigenvalues_fd,
@@ -135,6 +137,30 @@ def test_to_orthonormal_frame_basics():
     assert np.abs(to_orthonormal_frame(d, h0) - d).max() < 1e-14
 
 
+def test_to_orthonormal_frame_rejects_bad_metrics():
+    m = np.eye(2, dtype=complex)
+    for h0 in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[1.0, 1e-9], [0.0, 1.0]])):
+        with pytest.raises(ValueError):
+            to_orthonormal_frame(m, h0)
+    with pytest.raises(MetricDegeneracyError):
+        to_orthonormal_frame(m, np.diag([1.0, 1e-11]))
+
+
+def test_oracle_imports_nothing_from_the_series_path():
+    # the oracle is an independent check only while it shares no code with the series path
+    source = pathlib.Path(__file__).parents[1] / "src" / "cdbundle" / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            if node.level and not node.module:
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    for name in imported:
+        assert name.split(".")[-1] not in ("series", "invariants"), name
+
+
 def test_to_orthonormal_frame_matches_series_for_jet():
     spec = Jet(alpha=1.0, beta=2.0, k=1)
     inv = invariants_at_zero(kernel_taylor(spec, 4))
@@ -169,12 +195,13 @@ def test_central_convergence_ratio_bergman():
 
 def test_scalar_transformation_law():
     spec = BergmanPower(2.0)
+    # the disc automorphism z -> (z + a) / (1 + conj(a) z) and its derivative
     for a in (0.2, 0.5j):
-        phi = MobiusMap(1.0, a)
         for z in (0.1, 0.25 - 0.1j):
-            pullback = phi.inverse()(z)
+            pullback = (z + a) / (1 + np.conj(a) * z)
+            derivative = (1 - abs(a) ** 2) / (1 + np.conj(a) * z) ** 2
             lhs = curvature_fd(spec, z)[0, 0]
-            rhs = abs(cocycle_c(phi, z)) ** 2 * curvature_fd(spec, pullback)[0, 0]
+            rhs = abs(derivative) ** 2 * curvature_fd(spec, pullback)[0, 0]
             assert abs(lhs - rhs) / abs(lhs) < 1e-5
 
 

@@ -14,9 +14,16 @@ from conftest import random_kernel_series
 
 
 def scalar_series(order, entries):
-    return MatrixPowerSeries2.from_coeff_dict(
-        1, order, {kl: [[v]] for kl, v in entries.items()}
-    )
+    c = np.zeros((order + 1, order + 1, 1, 1), dtype=complex)
+    for (k, l), v in entries.items():
+        c[k, l] = v
+    return MatrixPowerSeries2(c)
+
+
+def identity(rank, order):
+    c = np.zeros((order + 1, order + 1, rank, rank), dtype=complex)
+    c[0, 0] = np.eye(rank)
+    return MatrixPowerSeries2(c)
 
 
 def geometric(order):
@@ -26,7 +33,7 @@ def geometric(order):
 
 def test_multiply_identity_is_neutral(rng):
     b = random_kernel_series(rng, rank=3, order=4)
-    ident = MatrixPowerSeries2.identity(3, 4)
+    ident = identity(3, 4)
     assert np.abs(ident.multiply(b).coeffs - b.coeffs).max() < 1e-15
     assert np.abs(b.multiply(ident).coeffs - b.coeffs).max() < 1e-15
 
@@ -49,7 +56,7 @@ def test_multiply_geometric_square_matches_binomial():
 
 
 def test_multiply_skip_is_exact(rng):
-    # sparse block supports: the skipped coefficients must hold what the dense sum gives
+    # sparse block supports: every coefficient, +0 or -0 included, is the dense Cauchy sum
     def lattice(support):
         c = rng.standard_normal((5, 5, 2, 2)) + 1j * rng.standard_normal((5, 5, 2, 2))
         return MatrixPowerSeries2(np.where(support[:, :, None, None], c, 0.0))
@@ -99,7 +106,7 @@ def test_invert_two_sided(rng):
     for rank in (1, 2, 3):
         k = random_kernel_series(rng, rank=rank, order=5)
         b = k.invert()
-        ident = MatrixPowerSeries2.identity(rank, 5)
+        ident = identity(rank, 5)
         assert np.abs(k.multiply(b).coeffs - ident.coeffs).max() < 1e-12
         assert np.abs(b.multiply(k).coeffs - ident.coeffs).max() < 1e-12
 
@@ -126,7 +133,7 @@ def test_hermitian_defect_flags_constructed_asymmetry(rng):
 def test_evaluate_constant_term_and_identity(rng):
     k = random_kernel_series(rng, rank=2, order=3)
     assert np.abs(k.evaluate(0.0, 0.0) - k.coeff(0, 0)).max() < 1e-15
-    ident = MatrixPowerSeries2.identity(3, 4)
+    ident = identity(3, 4)
     assert np.abs(ident.evaluate(0.3 + 0.1j, -0.2j) - np.eye(3)).max() < 1e-15
 
 
