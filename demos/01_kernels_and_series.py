@@ -13,7 +13,6 @@ from cdbundle import (
     Homogeneous,
     Jet,
     Permuted,
-    kernel_evaluate,
     kernel_taylor,
     normalize,
 )
@@ -37,7 +36,7 @@ specs = {
 
 z, w = 0.30, 0.20 + 0.10j
 for name, spec in specs.items():
-    val = kernel_evaluate(spec, z, w)
+    val = spec.evaluate(z, w)
     print(f"\n{name}  [rank {spec.rank}]")
     print(f"  K({z}, {w}) =")
     print(np.array2string(val, prefix="  "))
@@ -50,7 +49,7 @@ print("=" * 70)
 spec = Homogeneous(lam=2.0, mu=(1, 1, 1), m=2)
 for order in (4, 6, 8):
     ser = kernel_taylor(spec, order)
-    dev = np.abs(ser.evaluate(z, z) - kernel_evaluate(spec, z, z)).max()
+    dev = np.abs(ser.evaluate(z, z) - spec.evaluate(z, z)).max()
     print(f"  order {order}: truncation deviation at |z| = {abs(z):.2f} is {dev:.3e}")
 
 print()

@@ -11,7 +11,6 @@ curvature diagonal inside the homogeneous kernel family.
 from .equivalence import (
     EquivalenceReport,
     Verdict,
-    eig_multiset_equal,
     full_report,
     simultaneous_pair_equiv,
     zzbar_distinguishes,
@@ -53,9 +52,6 @@ from .kernels import (
     KernelSpec,
     Permuted,
     TriangularData,
-    jet_taylor_generic,
-    kernel_evaluate,
-    kernel_rank,
     kernel_taylor,
     spec_from_dict,
     spec_to_dict,

@@ -65,8 +65,10 @@ def _fmt_float(x: float) -> str:
 
 
 def canonical_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON: sorted keys, 17-significant-digit floats, arrays as nested lists."""
     pad = " " * indent
+    if isinstance(obj, np.ndarray):
+        return canonical_json(obj.tolist(), indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -94,11 +96,6 @@ def canonical_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def matrix_json(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[{"re": float(v.real), "im": float(v.imag)} for v in row] for row in m]
 
 
 def _load_spec(path: str):
@@ -136,9 +133,9 @@ def cmd_invariants(args) -> int:
         "command": "invariants",
         "inputs": {"kernel": spec_to_dict(spec), "order": args.order, "fd_step": args.fd_step},
         "outputs": {
-            "curvature": matrix_json(inv.curvature),
-            "d_zbar": matrix_json(inv.d_zbar),
-            "d_zzbar": matrix_json(inv.d_zzbar),
+            "curvature": inv.curvature,
+            "d_zbar": inv.d_zbar,
+            "d_zzbar": inv.d_zzbar,
             "curvature_eigenvalues": [float(v) for v in inv.curvature_eigenvalues()],
             "oracle_residuals": residuals,
         },
@@ -180,8 +177,8 @@ def cmd_equiv(args) -> int:
             "order": args.order,
         },
         "verdict": report.verdict.value,
-        "certificate": _jsonable(report.certificate),
-        "witness": matrix_json(report.witness) if report.witness is not None else None,
+        "certificate": report.certificate,
+        "witness": report.witness,
         "witness_claims": list(report.witness_claims),
         "annotations": list(report.annotations),
         "tolerances": TOLERANCES,
@@ -194,25 +191,15 @@ def cmd_equiv(args) -> int:
     return EXIT_DISTINCT
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (complex, np.complexfloating)):
-        return {"re": float(obj.real), "im": float(obj.imag)}
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return matrix_json(obj) if obj.ndim == 2 else [_jsonable(v) for v in obj]
-    return obj
-
-
 def _parse_tuple(text: str, n: int) -> tuple:
     parts = text.split(",")
     if len(parts) != n:
         raise ValueError(f"expected {n} comma-separated values, got {text!r}")
-    return tuple(float(p) for p in parts)
+    values = tuple(float(p) for p in parts)
+    for part, value in zip(parts, values):
+        if not np.isfinite(value):
+            raise ValueError(f"non-finite value {part!r} in {text!r}")
+    return values
 
 
 def cmd_feasible(args) -> int:
@@ -239,7 +226,7 @@ def cmd_feasible(args) -> int:
         "command": "feasible",
         "inputs": {"triple": list(delta), "permutations": bool(args.permutations)},
         "abc": list(res.abc),
-        "checks": _jsonable(res.checks),
+        "checks": res.checks,
         "feasible": res.feasible,
         "params": {
             "lambda": res.params[0],

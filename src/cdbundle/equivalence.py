@@ -28,7 +28,7 @@ decision there, which is also what rules the inverse-problem pairs out).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import UnsupportedShapeError, WitnessVerificationError
 from .invariants import INVARIANT_ORDER, PointInvariants, invariants_at_zero
-from .kernels import KernelSpec, kernel_taylor
+from .kernels import KernelSpec, kernel_taylor, permutation_matrix
 
 
 class Verdict(str, Enum):
@@ -62,56 +62,32 @@ class EquivalenceReport:
     surviving_maps: tuple = ()
     annotations: tuple = ()
 
-    def annotated(self, *notes: str) -> "EquivalenceReport":
-        return EquivalenceReport(
-            verdict=self.verdict,
-            witness=self.witness,
-            witness_claims=self.witness_claims,
-            certificate=self.certificate,
-            surviving_maps=self.surviving_maps,
-            annotations=self.annotations + tuple(notes),
-        )
 
-
-def eig_multiset_equal(h1: np.ndarray, h2: np.ndarray, tol: float = TOL_EIG) -> bool:
-    """Sorted-eigenvalue comparison of two Hermitian matrices."""
-    h1 = np.asarray(h1, dtype=complex)
-    h2 = np.asarray(h2, dtype=complex)
-    for h in (h1, h2):
-        if np.abs(h - h.conj().T).max() > 1e-8 * max(1.0, np.abs(h).max()):
-            raise UnsupportedShapeError("eigenvalue comparison expects Hermitian inputs")
-    if h1.shape != h2.shape:
-        return False
-    e1 = np.linalg.eigvalsh(0.5 * (h1 + h1.conj().T))
-    e2 = np.linalg.eigvalsh(0.5 * (h2 + h2.conj().T))
-    return bool(np.abs(e1 - e2).max() <= tol)
-
-
-def _diagonal_part(m: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _diagonal_part(m: np.ndarray, what: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     off = m - np.diag(np.diag(m))
-    if np.abs(off).max(initial=0.0) > tol:
-        raise UnsupportedShapeError(f"{what} must be diagonal within {tol:g}")
+    if np.abs(off).max(initial=0.0) > TOL_ZERO:
+        raise UnsupportedShapeError(f"{what} must be diagonal within {TOL_ZERO:g}")
     d = np.diag(m)
     if np.abs(d.imag).max(initial=0.0) > 1e-7:
         raise UnsupportedShapeError(f"{what} must have a real diagonal")
     return d.real.copy()
 
 
-def _derivative_support(T: np.ndarray, diag: np.ndarray, tol_zero: float, tol_eig: float) -> dict:
+def _derivative_support(T: np.ndarray, diag: np.ndarray) -> dict:
     """Nonzero entries of a (0,1) derivative, validated against the shapes in scope."""
     T = np.asarray(T, dtype=complex)
     support = {}
     n = T.shape[0]
     for i in range(n):
         for j in range(n):
-            if abs(T[i, j]) <= tol_zero:
+            if abs(T[i, j]) <= TOL_ZERO:
                 continue
             if i == j:
                 raise UnsupportedShapeError(
                     "derivative with a diagonal entry is outside the decidable family"
                 )
-            if abs(diag[i] - diag[j]) <= tol_eig:
+            if abs(diag[i] - diag[j]) <= TOL_EIG:
                 raise UnsupportedShapeError(
                     "derivative entry couples a repeated curvature eigenvalue; "
                     "outside the decidable family"
@@ -120,17 +96,17 @@ def _derivative_support(T: np.ndarray, diag: np.ndarray, tol_zero: float, tol_ei
     return support
 
 
-def _allowed_bijections(d1: np.ndarray, d2: np.ndarray, tol: float):
+def _allowed_bijections(d1: np.ndarray, d2: np.ndarray):
     """Index maps c with K1[c(i)] = K2[i]; the support pattern C[i, c(i)]."""
     n = len(d1)
     maps = []
     for perm in itertools.permutations(range(n)):
-        if all(abs(d1[perm[i]] - d2[i]) <= tol for i in range(n)):
+        if all(abs(d1[perm[i]] - d2[i]) <= TOL_EIG for i in range(n)):
             maps.append(perm)
     return maps
 
 
-def _ratio_solution(X_support: dict, T2_support: dict, n: int, tol: float):
+def _ratio_solution(X_support: dict, T2_support: dict, n: int):
     """Solve d_i X[i,j] / d_j = T2[i,j] on the common support.
 
     Returns (consistent, unimodular, d, ratios) where d is one concrete
@@ -156,22 +132,15 @@ def _ratio_solution(X_support: dict, T2_support: dict, n: int, tol: float):
                 elif d[j] is not None and d[i] is None:
                     d[i] = d[j] * r
                     changed = True
-    scale = max(abs(v) for v in T2_support.values())
+    scale = max(1.0, max(abs(v) for v in T2_support.values()))
     consistent = all(
-        abs(d[i] * X_support[(i, j)] / d[j] - T2_support[(i, j)]) <= tol * max(1.0, scale)
+        abs(d[i] * X_support[(i, j)] / d[j] - T2_support[(i, j)]) <= TOL_INTERTWINE * scale
         for (i, j) in X_support
     )
     if not consistent:
         return False, False, None, None
     unimodular = all(abs(abs(r) - 1.0) <= 1e-7 for r in ratios.values())
     return True, unimodular, np.array(d, dtype=complex), ratios
-
-
-def _permutation_matrix_for_map(c, n: int) -> np.ndarray:
-    p = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        p[i, c[i]] = 1.0
-    return p
 
 
 def _require(residual: float, tol: float, what: str) -> None:
@@ -191,28 +160,28 @@ def _verify_witness(U, K1, K2, T1, T2, claims):
                  TOL_INTERTWINE * max(1.0, np.abs(T1).max()), "d_zbar")
 
 
-def simultaneous_pair_equiv(
-    inv1: PointInvariants,
-    inv2: PointInvariants,
-    tol_eig: float = TOL_EIG,
-    tol_zero: float = TOL_ZERO,
-) -> EquivalenceReport:
+def simultaneous_pair_equiv(inv1: PointInvariants, inv2: PointInvariants) -> EquivalenceReport:
     """Decide simultaneous equivalence of (curvature, (0,1) derivative) at a point.
 
-    Pipeline: (i) eigenvalue multisets with multiplicity, else DISTINCT;
-    (ii) eigenvalue-compatible index bijections (support constraint for any
-    intertwiner of diagonal curvatures); (iii) diagonal-scaling solve of the
-    derivative constraint per bijection, with the unimodular/invertible
-    distinction described in the module docstring; (iv) a derivative that
-    vanishes on exactly one side fails at the (0,1) level.
+    Pipeline: (i) eigenvalue multisets with multiplicity (within TOL_EIG),
+    else DISTINCT; (ii) eigenvalue-compatible index bijections (support
+    constraint for any intertwiner of diagonal curvatures); (iii) diagonal-
+    scaling solve of the derivative constraint per bijection, with the
+    unimodular/invertible distinction described in the module docstring;
+    (iv) a derivative that vanishes on exactly one side fails at the (0,1)
+    level.  Entries within TOL_ZERO count as zero.
+
+    An EQUIVALENT report always lists at least one index map in
+    ``surviving_maps``: the maps that passed the (0,1) analysis, which is
+    what :func:`zzbar_distinguishes` checks at order (1,1).
     """
     if inv1.rank > 3 or inv2.rank > 3:
         raise UnsupportedShapeError("pair decider covers rank <= 3 only")
     K1 = np.asarray(inv1.curvature, dtype=complex)
     K2 = np.asarray(inv2.curvature, dtype=complex)
-    d1 = _diagonal_part(K1, tol_zero, "curvature 1")
-    d2 = _diagonal_part(K2, tol_zero, "curvature 2")
-    if len(d1) != len(d2) or np.abs(np.sort(d1) - np.sort(d2)).max() > tol_eig:
+    d1 = _diagonal_part(K1, "curvature 1")
+    d2 = _diagonal_part(K2, "curvature 2")
+    if len(d1) != len(d2) or np.abs(np.sort(d1) - np.sort(d2)).max() > TOL_EIG:
         return EquivalenceReport(
             verdict=Verdict.DISTINCT,
             witness=None,
@@ -228,13 +197,12 @@ def simultaneous_pair_equiv(
     n = len(d1)
     T1 = np.asarray(inv1.d_zbar, dtype=complex)
     T2 = np.asarray(inv2.d_zbar, dtype=complex)
-    sup1 = _derivative_support(T1, d1, tol_zero, tol_eig)
-    sup2 = _derivative_support(T2, d2, tol_zero, tol_eig)
-    maps = _allowed_bijections(d1, d2, tol_eig)
+    sup1 = _derivative_support(T1, d1)
+    sup2 = _derivative_support(T2, d2)
+    maps = _allowed_bijections(d1, d2)
 
     if not sup1 and not sup2:
-        c = maps[0]
-        U = _permutation_matrix_for_map(c, n)
+        U = permutation_matrix([j + 1 for j in maps[0]])
         claims = ("curvature", "d_zbar")
         _verify_witness(U, K1, K2, T1, T2, claims)
         return EquivalenceReport(
@@ -264,7 +232,7 @@ def simultaneous_pair_equiv(
         for (i, j), v in sup1.items():
             ci, cj = c.index(i), c.index(j)  # X[a,b] = T1[c(a), c(b)]
             X_support[(ci, cj)] = v
-        consistent, unimodular, d, ratios = _ratio_solution(X_support, sup2, n, TOL_INTERTWINE)
+        consistent, unimodular, d, ratios = _ratio_solution(X_support, sup2, n)
         if consistent:
             entry = {"map": c, "d": d, "ratios": ratios}
             invertible_hits.append(entry)
@@ -285,8 +253,7 @@ def simultaneous_pair_equiv(
 
     if unimodular_hits:
         hit = unimodular_hits[0]
-        c = hit["map"]
-        U = np.diag(hit["d"] / np.abs(hit["d"])) @ _permutation_matrix_for_map(c, n)
+        U = np.diag(hit["d"] / np.abs(hit["d"])) @ permutation_matrix([j + 1 for j in hit["map"]])
         claims = ("curvature", "d_zbar")
         _verify_witness(U, K1, K2, T1, T2, claims)
         return EquivalenceReport(
@@ -302,7 +269,7 @@ def simultaneous_pair_equiv(
         )
 
     repeated = any(
-        abs(d1[i] - d1[j]) <= tol_eig for i in range(n) for j in range(i + 1, n)
+        abs(d1[i] - d1[j]) <= TOL_EIG for i in range(n) for j in range(i + 1, n)
     )
     if invertible_hits and repeated:
         # Repeated-eigenvalue regime: an invertible diagonal intertwiner with
@@ -310,7 +277,7 @@ def simultaneous_pair_equiv(
         # the raw frames); the witness covers the curvature level only and the
         # certificate carries the ratio data.
         hit = invertible_hits[0]
-        U = _permutation_matrix_for_map(hit["map"], n)
+        U = permutation_matrix([j + 1 for j in hit["map"]])
         claims = ("curvature",)
         _verify_witness(U, K1, K2, T1, T2, claims)
         return EquivalenceReport(
@@ -351,46 +318,23 @@ def simultaneous_pair_equiv(
     )
 
 
-def zzbar_distinguishes(
-    inv1: PointInvariants,
-    inv2: PointInvariants,
-    candidate_u: Optional[np.ndarray] = None,
-    maps=None,
-    tol_zero: float = TOL_ZERO,
-    tol_cmp: float = TOL_EIG,
-) -> bool:
-    """True iff the order-(1,1) derivatives rule out every surviving intertwiner.
+def zzbar_distinguishes(inv1: PointInvariants, inv2: PointInvariants, maps) -> bool:
+    """True iff the order-(1,1) derivatives rule out every index map in ``maps``.
 
-    For diagonal (1,1) derivatives, conjugation by any diagonal-times-
-    permutation intertwiner permutes the diagonal, so the check reduces to
-    an entrywise comparison under each allowed index map.
+    ``maps`` are the 0-indexed maps c that survived the (0,1) analysis
+    (``EquivalenceReport.surviving_maps``); with none given, nothing is left
+    to rule out and the answer is True.  For diagonal (1,1) derivatives,
+    conjugation by any diagonal-times-permutation intertwiner permutes the
+    diagonal, so the check is an entrywise comparison z1[c(i)] = z2[i]
+    within TOL_EIG (relative to the largest entry) under each map.
     """
     if inv1.d_zzbar is None or inv2.d_zzbar is None:
         raise ValueError("both inputs need an order-(1,1) derivative")
-    z1 = _diagonal_part(inv1.d_zzbar, tol_zero, "d_zzbar 1")
-    z2 = _diagonal_part(inv2.d_zzbar, tol_zero, "d_zzbar 2")
-    n = len(z1)
-    if candidate_u is not None:
-        u = np.asarray(candidate_u, dtype=complex)
-        c = []
-        for i in range(n):
-            row = np.abs(u[i])
-            j = int(row.argmax())
-            if row[j] < 0.5 or (sorted(row)[-2] if n > 1 else 0.0) > 0.5:
-                raise UnsupportedShapeError("candidate unitary is not permutation-shaped")
-            c.append(j)
-        if sorted(c) != list(range(n)):
-            raise UnsupportedShapeError("candidate unitary is not permutation-shaped")
-        allowed = [tuple(c)]
-    elif maps is not None:
-        allowed = [tuple(m) for m in maps]
-    else:
-        d1 = _diagonal_part(inv1.curvature, tol_zero, "curvature 1")
-        d2 = _diagonal_part(inv2.curvature, tol_zero, "curvature 2")
-        allowed = _allowed_bijections(d1, d2, TOL_EIG)
+    z1 = _diagonal_part(inv1.d_zzbar, "d_zzbar 1")
+    z2 = _diagonal_part(inv2.d_zzbar, "d_zzbar 2")
     scale = max(1.0, np.abs(z1).max(), np.abs(z2).max())
-    for c in allowed:
-        if max(abs(z1[c[i]] - z2[i]) for i in range(n)) <= tol_cmp * scale:
+    for c in maps:
+        if max(abs(z1[c[i]] - z2[i]) for i in range(len(z1))) <= TOL_EIG * scale:
             return False
     return True
 
@@ -411,32 +355,23 @@ def full_report(spec1: KernelSpec, spec2: KernelSpec) -> EquivalenceReport:
     inv2 = invariants_at_zero(kernel_taylor(spec2, INVARIANT_ORDER))
     report = simultaneous_pair_equiv(inv1, inv2)
 
-    notes = ()
-    if spec1.mobius_homogeneous and spec2.mobius_homogeneous:
-        notes = (
-            "both kernels are Mobius-homogeneous: the verdict at 0 determines "
-            "the simultaneous equivalence class at every point of the disc",
-        )
-
-    if report.verdict is not Verdict.EQUIVALENT:
-        return report.annotated(*notes)
-
-    if zzbar_distinguishes(inv1, inv2, maps=report.surviving_maps or None):
-        certificate = dict(report.certificate)
-        certificate.update(
-            {
+    if (report.verdict is Verdict.EQUIVALENT
+            and zzbar_distinguishes(inv1, inv2, report.surviving_maps)):
+        report = replace(
+            report,
+            verdict=Verdict.EIGENVALUES_MATCH_ONLY,
+            certificate={
+                **report.certificate,
                 "level": "(1,1)",
                 "reason": "order-(1,1) derivative diagonals differ under every "
                 "intertwiner surviving the (0,1) analysis",
                 "zzbar_diag_1": np.real(np.diag(inv1.d_zzbar)).tolist(),
                 "zzbar_diag_2": np.real(np.diag(inv2.d_zzbar)).tolist(),
-            }
+            },
         )
-        return EquivalenceReport(
-            verdict=Verdict.EIGENVALUES_MATCH_ONLY,
-            witness=report.witness,
-            witness_claims=report.witness_claims,
-            certificate=certificate,
-            surviving_maps=report.surviving_maps,
-        ).annotated(*notes)
-    return report.annotated(*notes)
+    if spec1.mobius_homogeneous and spec2.mobius_homogeneous:
+        report = replace(report, annotations=report.annotations + (
+            "both kernels are Mobius-homogeneous: the verdict at 0 determines "
+            "the simultaneous equivalence class at every point of the disc",
+        ))
+    return report

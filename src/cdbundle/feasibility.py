@@ -63,10 +63,6 @@ class PermutationAnalysis:
     results: dict  # sigma (1-indexed tuple) -> FeasibilityResult
     feasible_sigmas: tuple
 
-    @property
-    def beyond_identity(self) -> tuple:
-        return tuple(s for s in self.feasible_sigmas if s != IDENTITY)
-
     def respects_exclusions(self) -> bool:
         """No sigma outside {identity, rho, tau} may be feasible."""
         return all(s in (IDENTITY, RHO, TAU) for s in self.feasible_sigmas)
@@ -95,11 +91,6 @@ def abc_to_params(a: float, b: float, c: float) -> Optional[tuple]:
     if mu1_sq <= 0.0 or mu2_sq <= 0.0:
         return None
     return (lam, mu1_sq, mu2_sq)
-
-
-def mu2_sq_closed(a: float, b: float, c: float) -> float:
-    """mu_2^2 in the closed rational form; equals the direct evaluation."""
-    return (2.0 * (a - c) * (a - 1.0) + b * c) / (b * c * (a / 2.0) * (a - 1.0))
 
 
 def solve_triple(delta) -> FeasibilityResult:

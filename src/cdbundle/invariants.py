@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DiscDomainError, TruncationOrderError
-from .kernels import TriangularData, shift_matrix, weighted_shift
+from .kernels import TriangularData, shift_matrix
 from .series import (
     MatrixPowerSeries2,
     _cauchy_term,
@@ -50,7 +50,6 @@ class PointInvariants:
     curvature: np.ndarray
     d_zbar: np.ndarray
     d_zzbar: Optional[np.ndarray]
-    frame: str = "orthonormal_at_point"
 
     def __post_init__(self):
         for name in ("curvature", "d_zbar", "d_zzbar"):
@@ -148,27 +147,6 @@ def covd_zbar_n_at_zero(K: MatrixPowerSeries2, n: int) -> np.ndarray:
 
 
 # -- closed forms for the homogeneous family -------------------------------
-
-
-def homogeneous_abc(lam: float, mu, m: int = 2) -> tuple:
-    """(a, b, c) = (2 lambda, 1/d_1, 4 d_1 / d_2) for the m = 2 family."""
-    if m != 2:
-        raise ValueError("the (a, b, c) parametrization is specific to m = 2")
-    td = TriangularData.build(lam, mu, m)
-    d = td.d
-    return 2.0 * lam, 1.0 / d[1], 4.0 * d[1] / d[2]
-
-
-def curvature_diag_from_abc(a: float, b: float, c: float) -> np.ndarray:
-    """diag(a-b-2, a+b-c, a+c+2): the ordered curvature diagonal at 0, m = 2."""
-    return np.array([a - b - 2.0, a + b - c, a + c + 2.0])
-
-
-def dzbar_from_abc(b: float, c: float) -> np.ndarray:
-    """2 S_2(-sqrt(b)(1+b-c/2), -sqrt(c)(1+c-b/2))^t, m = 2."""
-    w1 = -np.sqrt(b) * (1.0 + b - c / 2.0)
-    w2 = -np.sqrt(c) * (1.0 + c - b / 2.0)
-    return 2.0 * weighted_shift(2, [w1, w2]).T
 
 
 def homogeneous_invariants_closed(lam: float, mu, m: int) -> PointInvariants:

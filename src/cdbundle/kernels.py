@@ -46,10 +46,7 @@ __all__ = [
     "TriangularData",
     "shift_matrix",
     "weighted_shift",
-    "kernel_evaluate",
     "kernel_taylor",
-    "kernel_rank",
-    "jet_taylor_generic",
     "permutation_matrix",
     "spec_from_dict",
     "spec_to_dict",
@@ -143,9 +140,6 @@ class TriangularData:
     @property
     def D_m(self) -> np.ndarray:
         return np.diag(np.arange(self.m, -1, -1).astype(complex))
-
-    def L_inverse(self) -> np.ndarray:
-        return np.linalg.inv(self.L)
 
 
 class KernelSpec:
@@ -266,38 +260,32 @@ class Jet(KernelSpec):
         return np.asarray(base * (front * total), dtype=complex)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
-        return jet_taylor_generic(self.alpha, self.beta, self.k, order)
+        """The lattice from the generic derivative rule.
 
-
-def jet_taylor_generic(alpha: float, beta: float, k: int, order: int) -> MatrixPowerSeries2:
-    """Taylor lattice of the jet kernel from the generic derivative rule.
-
-    With A_r = (alpha)_r / r! and B_r = (beta)_r / r!, entry (i, j) of the
-    kernel is sum over k1, k2 of
-    A_{k1} B_{k2} (k2!/(k2-i)!) (k2!/(k2-j)!) z^{k1+k2-i} conj(w)^{k1+k2-j},
-    so a[p, q][i, j] collects the terms with k1 + k2 = p + i = q + j.
-    """
-    if k not in (1, 2):
-        raise ValueError(f"jet order k must be 1 or 2, got {k}")
-    n = k + 1
-    N = order
-    # scalar factor coefficients up to the largest needed total degree
-    top = N + k + 1
-    A = [rising(alpha, r) / math.factorial(r) for r in range(top + 1)]
-    B = [rising(beta, r) / math.factorial(r) for r in range(top + 1)]
-    c = np.zeros((N + 1, N + 1, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            for p in range(N + 1):
-                q = p + i - j
-                if q < 0 or q > N:
-                    continue
-                K = p + i
-                acc = 0.0
-                for k2 in range(max(i, j), K + 1):
-                    acc += A[K - k2] * B[k2] * falling(k2, i) * falling(k2, j)
-                c[p, q, i, j] = acc
-    return MatrixPowerSeries2(c)
+        With A_r = (alpha)_r / r! and B_r = (beta)_r / r!, entry (i, j) of
+        the kernel is sum over k1, k2 of
+        A_{k1} B_{k2} (k2!/(k2-i)!) (k2!/(k2-j)!) z^{k1+k2-i} conj(w)^{k1+k2-j},
+        so a[p, q][i, j] collects the terms with k1 + k2 = p + i = q + j.
+        """
+        n = self.k + 1
+        N = order
+        # scalar factor coefficients up to the largest needed total degree
+        top = N + self.k + 1
+        A = [rising(self.alpha, r) / math.factorial(r) for r in range(top + 1)]
+        B = [rising(self.beta, r) / math.factorial(r) for r in range(top + 1)]
+        c = np.zeros((N + 1, N + 1, n, n), dtype=complex)
+        for i in range(n):
+            for j in range(n):
+                for p in range(N + 1):
+                    q = p + i - j
+                    if q < 0 or q > N:
+                        continue
+                    K = p + i
+                    acc = 0.0
+                    for k2 in range(max(i, j), K + 1):
+                        acc += A[K - k2] * B[k2] * falling(k2, i) * falling(k2, j)
+                    c[p, q, i, j] = acc
+        return MatrixPowerSeries2(c)
 
 
 @dataclass(frozen=True)
@@ -486,18 +474,10 @@ class Permuted(KernelSpec):
 # -- operation-level functions ------------------------------------------
 
 
-def kernel_evaluate(spec: KernelSpec, z: complex, w: complex) -> np.ndarray:
-    return spec.evaluate(z, w)
-
-
 def kernel_taylor(spec: KernelSpec, order: int) -> MatrixPowerSeries2:
     if order < 0:
         raise ValueError(f"order must be non-negative, got {order}")
     return spec.taylor(order)
-
-
-def kernel_rank(spec: KernelSpec) -> int:
-    return spec.rank
 
 
 # -- JSON wire format ------------------------------------------------------

@@ -156,6 +156,19 @@ def test_feasible_malformed_input(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv, token", [
+    (["--triple", "nan,2,10"], "nan"),
+    (["--triple", "1,2,inf"], "inf"),
+    (["--pair", "1e400,5", "--rank2"], "1e400"),
+])
+def test_feasible_non_finite_input_is_a_parse_failure(capsys, argv, token):
+    code, out, err = run(capsys, ["feasible", *argv])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert repr(token) in err
+
+
 def test_field_csv(tmp_path, capsys):
     path = write(tmp_path, "b3.json", {"type": "bergman", "lambda": 3.0})
     out_csv = tmp_path / "field.csv"

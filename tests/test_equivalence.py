@@ -13,7 +13,6 @@ from cdbundle import (
     UnsupportedShapeError,
     Verdict,
     WitnessVerificationError,
-    eig_multiset_equal,
     full_report,
     invariants_at_zero,
     kernel_taylor,
@@ -23,6 +22,7 @@ from cdbundle import (
 )
 from cdbundle.equivalence import _verify_witness
 from cdbundle.feasibility import RHO
+from conftest import zoo_fixtures
 
 
 def make_inv(diag, zbar=None, zzbar=None):
@@ -62,20 +62,6 @@ def brute_force_unitary_pair(d1, T1, d2, T2, tol=1e-7):
             # forests (weighted-shift shapes), so modulus matching suffices
             return True
     return False
-
-
-def test_eig_multiset_examples():
-    assert eig_multiset_equal(np.diag([1.0, 1.0, 13.0]), np.diag([1.0, 13.0, 1.0]))
-    beta = 2.0
-    beta_p = 1.5 * beta + 2.0
-    k1 = np.diag([1.0, 1.0, 1.0 + 2 * beta_p + 2])
-    k2 = np.diag([1.0, 1.0, 1.0 + 3 * beta + 6])
-    assert eig_multiset_equal(k1, k2)
-    z1 = np.diag([2.0, 62.0, -34.0])
-    z2 = np.diag([2.0, 74.0, -46.0])
-    assert not eig_multiset_equal(z1, z2)
-    with pytest.raises(UnsupportedShapeError):
-        eig_multiset_equal(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
 def test_identical_invariants_equivalent_with_identity_witness():
@@ -252,9 +238,38 @@ def test_unsupported_shapes_raise():
 def test_zzbar_candidate_unitary_path():
     inv1 = make_inv([1.0, 2.0, 9.0], zzbar=[2.0, 5.0, 7.0])
     inv2 = make_inv([1.0, 2.0, 9.0], zzbar=[2.0, 5.0, 7.0])
-    assert not zzbar_distinguishes(inv1, inv2, candidate_u=np.eye(3))
+    assert not zzbar_distinguishes(inv1, inv2, maps=[(0, 1, 2)])
     inv3 = make_inv([1.0, 2.0, 9.0], zzbar=[2.0, 5.0, 8.0])
-    assert zzbar_distinguishes(inv1, inv3, candidate_u=np.eye(3))
+    assert zzbar_distinguishes(inv1, inv3, maps=[(0, 1, 2)])
+
+
+def test_equivalent_reports_carry_surviving_maps():
+    # zzbar_distinguishes rules out every map of an empty list, so the (1,1)
+    # stage of full_report relies on each EQUIVALENT report naming at least one
+    zoo = [invariants_at_zero(kernel_taylor(spec, 2)) for _, spec in zoo_fixtures()]
+    pairs = [(a, b) for a, b in itertools.product(zoo, repeat=2) if a.rank == b.rank]
+    pairs += [
+        (make_inv([1.0, 2.0]), make_inv([2.0, 1.0])),
+        (
+            make_inv([1.0, 2.0, 9.0], shift_upper(3, {(0, 1): 1.5j})),
+            make_inv([1.0, 2.0, 9.0], shift_upper(3, {(0, 1): -1.5})),
+        ),
+        (
+            make_inv([1.0, 1.0, 3.0], shift_upper(3, {(0, 2): 2.0})),
+            make_inv([1.0, 1.0, 3.0], shift_upper(3, {(1, 2): 3.0})),
+        ),
+    ]
+    regimes = set()
+    for inv1, inv2 in pairs:
+        rep = simultaneous_pair_equiv(inv1, inv2)
+        if rep.verdict is Verdict.EQUIVALENT:
+            assert rep.surviving_maps, rep.certificate
+            regimes.add(rep.certificate["reason"].split(" (")[0])
+    assert regimes == {
+        "both derivatives vanish",
+        "unitary intertwiner found",
+        "invertible diagonal intertwiner",
+    }
 
 
 def test_full_report_rank_mismatch():

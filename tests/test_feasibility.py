@@ -14,9 +14,14 @@ from cdbundle import (
     solve_triple,
     triple_to_abc,
 )
-from cdbundle.feasibility import IDENTITY, RHO, TAU, mu2_sq_closed
+from cdbundle.feasibility import IDENTITY, RHO, TAU
 
 A = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -1.0], [1.0, 0.0, 1.0]])
+
+
+def mu2_sq_closed(a: float, b: float, c: float) -> float:
+    """mu_2^2 in the closed rational form; equals the direct evaluation."""
+    return (2.0 * (a - c) * (a - 1.0) + b * c) / (b * c * (a / 2.0) * (a - 1.0))
 
 
 def sample_feasible_triples(rng, count, distinct=True):

@@ -20,11 +20,33 @@ from cdbundle import (
     transport_eigenvalues,
 )
 from cdbundle import invariants, series
-from cdbundle.invariants import curvature_diag_from_abc, dzbar_from_abc, homogeneous_abc
+from cdbundle.kernels import TriangularData, weighted_shift
 from cdbundle.series import MatrixPowerSeries2, assert_hermitian, hermitian_sqrt
 from conftest import random_kernel_series, zoo_fixtures
 
 SQ5, SQ6 = np.sqrt(5.0), np.sqrt(6.0)
+
+
+# The m = 2 homogeneous family in the (a, b, c) parametrization, closed forms
+# checked against homogeneous_invariants_closed.
+
+
+def homogeneous_abc(lam: float, mu) -> tuple:
+    """(a, b, c) = (2 lambda, 1/d_1, 4 d_1 / d_2) for the m = 2 family."""
+    d = TriangularData.build(lam, mu, 2).d
+    return 2.0 * lam, 1.0 / d[1], 4.0 * d[1] / d[2]
+
+
+def curvature_diag_from_abc(a: float, b: float, c: float) -> np.ndarray:
+    """diag(a-b-2, a+b-c, a+c+2): the ordered curvature diagonal at 0, m = 2."""
+    return np.array([a - b - 2.0, a + b - c, a + c + 2.0])
+
+
+def dzbar_from_abc(b: float, c: float) -> np.ndarray:
+    """2 S_2(-sqrt(b)(1+b-c/2), -sqrt(c)(1+c-b/2))^t, m = 2."""
+    w1 = -np.sqrt(b) * (1.0 + b - c / 2.0)
+    w2 = -np.sqrt(c) * (1.0 + c - b / 2.0)
+    return 2.0 * weighted_shift(2, [w1, w2]).T
 
 
 # Independent formulas for the normalized coefficients, cross-checks of `normalize`.
