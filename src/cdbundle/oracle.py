@@ -2,7 +2,7 @@
 
 This module never touches the power-series machinery: it works from exact
 closed-form evaluations of the metric h(z) = K(z, z)^t only, applying
-central differences for the Wirtinger operators
+Richardson-extrapolated central differences for the Wirtinger operators
 
     d     = (d/dx - i d/dy) / 2,      dbar = (d/dx + i d/dy) / 2
 
@@ -19,7 +19,7 @@ path, which works in the frame orthonormal at the point.
 Each route works in three steps.
 
 1. Stencil.  The nested differences visit a fixed set of points, a
-   function of z, the step ladder and the scheme only.  The route lists
+   function of z and the step ladder only.  The route lists
    them as arrays, level by level: u + t, u - t, u + it, u - it around
    every point u of the level above, with the same floating-point sums a
    nested scalar evaluation would form.
@@ -42,14 +42,13 @@ the (1,1) route divides by about s1 s2 s3 s4, which amplifies that residue
 roughly 7e9-fold: evaluating every point as complex moves d_zzbar by up
 to 3.4e-6 on the fixture set, a third of the cross-check tolerance.
 
-Step ladders.  Nesting central differences amplifies roundoff: the noise of
-an inner level divided by the outer step must stay below the target, so
-outer levels use larger steps than inner ones (and the deepest route bumps
-the metric-level step as well).  The multipliers below were measured across
-the full kernel fixture set in float64; with the default step 1e-4 the
+Step ladders.  Nesting differences amplifies roundoff: the noise of an inner
+level divided by the outer step must stay below the target, so outer levels
+use larger steps than inner ones (and the deepest route bumps the
+metric-level step as well).  The multipliers below were measured across the
+full kernel fixture set in float64; with the default step 1e-4 the
 worst-case deviations from the series path at z = 0 are about 7e-8
-(curvature), 3e-7 ((0,1)) and 7.3e-6 ((1,1)) for the richardson scheme, and
-1.6e-6 / 9.2e-5 / 4.6e-4 for plain central differences.
+(curvature), 3e-7 ((0,1)) and 7.3e-6 ((1,1)).
 """
 
 from __future__ import annotations
@@ -61,36 +60,26 @@ import numpy as np
 from .errors import DiscDomainError, MetricDegeneracyError
 from .kernels import KernelSpec
 
-# largest accepted deviation of the richardson oracle from the series path at 0
+# largest accepted deviation of the oracle from the series path at 0
 ORACLE_CROSS_CHECK_TOL = 1e-5
 # metric evaluations per batch call, which bounds the transient stacks
 _BLOCK = 512
 # step multipliers per route, relative to FDConfig.step
-_LADDERS = {
-    "richardson": {"curv": (1, 1), "zbar": (1, 1, 10), "zzbar": (10, 10, 100, 150)},
-    "central": {"curv": (1, 1), "zbar": (1, 1, 10), "zzbar": (2, 2, 15, 15)},
-}
+_LADDERS = {"curv": (1, 1), "zbar": (1, 1, 10), "zzbar": (10, 10, 100, 150)}
 
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference configuration.
-
-    `step` is the base first-derivative step; `scheme` selects plain central
-    differences or Richardson extrapolation over steps (s, s/2).
-    """
+    """Finite-difference configuration: `step` is the base first-derivative step."""
 
     step: float = 1e-4
-    scheme: str = "richardson"
 
     def __post_init__(self):
         if not 1e-8 < self.step < 1e-2:
             raise ValueError(f"step must lie in (1e-8, 1e-2), got {self.step}")
-        if self.scheme not in ("central", "richardson"):
-            raise ValueError(f"scheme must be 'central' or 'richardson', got {self.scheme!r}")
 
     def ladder(self, route: str) -> tuple:
-        return tuple(m * self.step for m in _LADDERS[self.scheme][route])
+        return tuple(m * self.step for m in _LADDERS[route])
 
     def reach(self, route: str) -> float:
         """Largest total offset from the base point the stencil can visit."""
@@ -118,28 +107,26 @@ def _check_reach(z: complex, cfg: FDConfig, route: str) -> None:
         )
 
 
-def _stencil(u, s: float, richardson: bool) -> np.ndarray:
+def _stencil(u, s: float) -> np.ndarray:
     """Points of one Wirtinger difference with step s around each point of u.
 
-    Shape u.shape + (steps, 4): steps (s/2, s) for richardson, (s,) for
-    central; the last axis is u + t, u - t, u + it, u - it.
+    Shape u.shape + (2, 4): steps (s/2, s); the last axis is u + t, u - t,
+    u + it, u - it.
     """
-    steps = (s / 2, s) if richardson else (s,)
-    return np.asarray(u)[..., None, None] + np.array([[t, -t, 1j * t, -1j * t] for t in steps])
+    return np.asarray(u)[..., None, None] + np.array([[t, -t, 1j * t, -1j * t] for t in (s / 2, s)])
 
 
-def _difference(f: np.ndarray, s: float, bar: bool, richardson: bool) -> np.ndarray:
-    """d (or dbar) from values f on a stencil, shape (..., steps, 4, n, n) -> (..., n, n).
+def _difference(f: np.ndarray, s: float, bar: bool) -> np.ndarray:
+    """d (or dbar) from values f on a stencil, shape (..., 2, 4, n, n) -> (..., n, n).
 
-    The central difference runs once over the steps axis; richardson then
-    combines its two steps (s/2, s) as (4 D(s/2) - D(s)) / 3.
+    The central difference runs once over the steps axis; Richardson then
+    combines its two steps (s/2, s) as (4 D(s/2) - D(s)) / 3, which cancels
+    the O(s^2) error term, so halving s divides the error by about 16.
     """
-    step = np.array([s / 2, s] if richardson else [s])[:, None, None]
+    step = np.array([s / 2, s])[:, None, None]
     dx = (f[..., 0, :, :] - f[..., 1, :, :]) / (2 * step)
     dy = (f[..., 2, :, :] - f[..., 3, :, :]) / (2 * step)
     d = 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
-    if not richardson:
-        return d[..., 0, :, :]
     return (4.0 * d[..., 0, :, :] - d[..., 1, :, :]) / 3.0
 
 
@@ -164,14 +151,14 @@ def _metric_values(spec: KernelSpec, points: np.ndarray) -> tuple:
     return np.swapaxes(values, -1, -2), where
 
 
-def _connection(spec: KernelSpec, u: np.ndarray, s: float, richardson: bool) -> np.ndarray:
+def _connection(spec: KernelSpec, u: np.ndarray, s: float) -> np.ndarray:
     """G = h^{-1} dh at every point of u, shape u.shape + (n, n).
 
     The metric is evaluated once for all points; G is then formed for
     _BLOCK // (stencil size) points of u at a time, so the stacks of metric
     values stay small.
     """
-    around = _stencil(u, s, richardson).reshape(u.size, -1)
+    around = _stencil(u, s).reshape(u.size, -1)
     points = np.concatenate([u.reshape(-1, 1), around], axis=1)
     values, where = _metric_values(spec, points)
     where = where.reshape(points.shape)
@@ -181,7 +168,7 @@ def _connection(spec: KernelSpec, u: np.ndarray, s: float, richardson: bool) -> 
     for start in range(0, u.size, step):
         h = values[where[start : start + step]]
         dh = h[:, 1:].reshape((len(h), -1, 4, n, n))
-        G[start : start + step] = np.linalg.solve(h[:, 0], _difference(dh, s, False, richardson))
+        G[start : start + step] = np.linalg.solve(h[:, 0], _difference(dh, s, False))
     return G.reshape(u.shape + (n, n))
 
 
@@ -189,18 +176,16 @@ def curvature_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np
     """Raw-frame curvature dbar(h^{-1} dh) at z by nested differences."""
     _check_reach(z, cfg, "curv")
     s1, s2 = cfg.ladder("curv")
-    rich = cfg.scheme == "richardson"
-    G = _connection(spec, _stencil(z, s2, rich), s1, rich)
-    return _difference(G, s2, True, rich)
+    G = _connection(spec, _stencil(z, s2), s1)
+    return _difference(G, s2, True)
 
 
 def covd_zbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Raw-frame (0,1) covariant derivative: dbar of the curvature field."""
     _check_reach(z, cfg, "zbar")
     s1, s2, s3 = cfg.ladder("zbar")
-    rich = cfg.scheme == "richardson"
-    G = _connection(spec, _stencil(_stencil(z, s3, rich), s2, rich), s1, rich)
-    return _difference(_difference(G, s2, True, rich), s3, True, rich)
+    G = _connection(spec, _stencil(_stencil(z, s3), s2), s1)
+    return _difference(_difference(G, s2, True), s3, True)
 
 
 def covd_zzbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np.ndarray:
@@ -212,18 +197,17 @@ def covd_zzbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> n
     """
     _check_reach(z, cfg, "zzbar")
     s1, s2, s3, s4 = cfg.ladder("zzbar")
-    rich = cfg.scheme == "richardson"
-    outer = _stencil(z, s4, rich)
-    around = _stencil(outer, s3, rich)
+    outer = _stencil(z, s4)
+    around = _stencil(outer, s3)
     k_points = np.concatenate([outer[..., None], around.reshape(outer.shape + (-1,))], axis=-1)
-    g_points = _stencil(k_points, s2, rich)
-    G = _connection(spec, np.concatenate([outer.ravel(), g_points.ravel()]), s1, rich)
+    g_points = _stencil(k_points, s2)
+    G = _connection(spec, np.concatenate([outer.ravel(), g_points.ravel()]), s1)
     n = G.shape[-1]
     g = G[: outer.size].reshape(outer.shape + (n, n))
-    K = _difference(G[outer.size :].reshape(g_points.shape + (n, n)), s2, True, rich)
+    K = _difference(G[outer.size :].reshape(g_points.shape + (n, n)), s2, True)
     k = K[..., 0, :, :]
-    dK = _difference(K[..., 1:, :, :].reshape(around.shape + (n, n)), s3, False, rich)
-    return _difference(dK + g @ k - k @ g, s4, True, rich)
+    dK = _difference(K[..., 1:, :, :].reshape(around.shape + (n, n)), s3, False)
+    return _difference(dK + g @ k - k @ g, s4, True)
 
 
 def to_orthonormal_frame(M: np.ndarray, h0: np.ndarray) -> np.ndarray:

@@ -169,6 +169,31 @@ def test_feasible_non_finite_input_is_a_parse_failure(capsys, argv, token):
     assert repr(token) in err
 
 
+@pytest.mark.parametrize("argv, quantity", [
+    (["--triple", "1e308,1e308,1e308"], "a = inf"),
+    (["--triple", "1e200,1e200,3e200", "--permutations"], "mu2_pos lhs = inf"),
+    (["--pair", "1e308,1.7e308", "--rank2"], "lambda = inf"),
+])
+def test_feasible_overflow_names_the_quantity(capsys, argv, quantity):
+    code, out, err = run(capsys, ["feasible", *argv])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: derived quantity {quantity} is not finite\n"
+
+
+@pytest.mark.parametrize("command", ["invariants", "field"])
+@pytest.mark.parametrize("step", ["1", "nan", "0", "1e-9"])
+def test_fd_step_out_of_range_is_a_parse_failure(tmp_path, capsys, command, step):
+    path = write(tmp_path, "b2.json", BERGMAN2)
+    argv = [command, "--kernel", path, "--fd-step", step]
+    if command == "field":
+        argv += ["--out", str(tmp_path / "f.csv")]
+    code, out, err = run(capsys, argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_field_csv(tmp_path, capsys):
     path = write(tmp_path, "b3.json", {"type": "bergman", "lambda": 3.0})
     out_csv = tmp_path / "field.csv"

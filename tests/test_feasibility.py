@@ -101,10 +101,9 @@ def test_check_region_reference_triples():
     assert not ok and not ledger["mid"]["ok"]
     ok, _ = check_region((0.5, 7.5, 8.0), "perm2")
     assert ok
-    ok, _ = check_region((1.0, 2.0, 10.5), "base")
-    assert ok
-    with pytest.raises(ValueError):
-        check_region((1.0, 2.0, 3.0), "perm3")
+    for region in ("base", "perm3"):
+        with pytest.raises(ValueError):
+            check_region((1.0, 2.0, 3.0), region)
 
 
 def test_permutation_analysis_perm1_and_perm2():
@@ -184,11 +183,27 @@ def test_rank2_matches_closed_m1_curvature(rng):
 
 
 def test_feasibility_ledger_equivalence(rng):
-    # feasible <=> all four ledger checks <=> positivity chain
-    for _ in range(40):
+    # feasible <=> all five ledger checks <=> positivity chain, delta_1 <= 0 included
+    others_ok = 0
+    for i in range(120):
         delta = tuple(12.0 * rng.random(3) + 0.05)
+        if i >= 40:  # delta_1 = 0 exactly, then delta_1 < 0
+            delta = (0.0 if i < 80 else -3.0 * rng.random(),) + delta[1:]
         res = solve_triple(delta)
         ledger_ok = all(v["ok"] for v in res.checks.values())
         assert res.feasible == (ledger_ok and res.params is not None)
         if ledger_ok:
-            assert res.params is not None  # mu1^2 > 0 is automatic for positive deltas
+            assert res.params is not None
+        if delta[0] <= 0.0:
+            assert not res.checks["mu1_pos"]["ok"] and not res.feasible, delta
+            others_ok += all(v["ok"] for k, v in res.checks.items() if k != "mu1_pos")
+    assert others_ok > 0  # some samples fail on mu1_pos alone
+
+
+def test_boundary_triples_are_infeasible():
+    # delta_1 = 0 makes mu_1^2 = 0 exactly; rounding can leave abc_to_params about 1e-16 above it
+    halves = np.arange(0.0, 20.5, 0.5)
+    for d2 in halves:
+        for d3 in halves:
+            res = solve_triple((0.0, d2, d3))
+            assert not res.feasible and not res.checks["mu1_pos"]["ok"], (d2, d3)
