@@ -123,7 +123,9 @@ def solve_triple(delta) -> FeasibilityResult:
     derived.update(zip(("lambda", "mu1_sq", "mu2_sq"), params or ()))
     _require_finite(derived)
     feasible = all(entry["ok"] for entry in checks.values()) and params is not None
-    return FeasibilityResult(delta=delta, abc=(a, b, c), params=params,
+    # abc_to_params reads mu_1^2 in rounded arithmetic, so it can return
+    # parameters for a triple the ledger rejects; only a feasible triple has them
+    return FeasibilityResult(delta=delta, abc=(a, b, c), params=params if feasible else None,
                              checks=checks, feasible=feasible)
 
 

@@ -27,10 +27,13 @@ Each route works in three steps.
    equality) through ``KernelSpec.evaluate`` on whole arrays, in blocks of
    _BLOCK points: one call per block for the points on the real axis and
    one for the others, and none for a kind the block lacks, so off the
-   real axis each block is a single call.  Many stencil points coincide:
-   at 0 with the default configuration the curvature, (0,1) and (1,1)
-   routes read 72, 576 and 5 256 metric values but evaluate only 33, 284
-   and 2 692 points.
+   real axis each block is a single call.  The connection G of the (0,1)
+   and (1,1) routes is likewise formed once per distinct G point and
+   gathered back; equal points give equal stencils, so this changes no
+   bit.  At 0 with the default configuration the curvature, (0,1) and (1,1)
+   routes form G at 8, 53 and 145 points (of 8, 64 and 584 listed), read
+   72, 477 and 1 305 metric values and evaluate only 33, 125 and 293
+   distinct points.
 3. Combine.  The values are differenced level by level on stacked
    (..., n, n) arrays with the scalar formulas unchanged:
    G = solve(h, dh) on the stack, then dK + G K - K G for the (1,1) route.
@@ -39,16 +42,24 @@ Real-axis rule.  Points with zero imaginary part are evaluated as float64,
 all others as complex128.  The zoo's metrics are real on the real axis, but
 complex power functions leave an imaginary residue of about 1e-17 there;
 the (1,1) route divides by about s1 s2 s3 s4, which amplifies that residue
-roughly 7e9-fold: evaluating every point as complex moves d_zzbar by up
-to 3.4e-6 on the fixture set, a third of the cross-check tolerance.
+roughly 1e9-fold: evaluating every point as complex moves d_zzbar by up
+to 5.2e-7 on the fixture set, a twentieth of the cross-check tolerance.
 
 Step ladders.  Nesting differences amplifies roundoff: the noise of an inner
-level divided by the outer step must stay below the target, so outer levels
-use larger steps than inner ones (and the deepest route bumps the
-metric-level step as well).  The multipliers below were measured across the
-full kernel fixture set in float64; with the default step 1e-4 the
-worst-case deviations from the series path at z = 0 are about 7e-8
-(curvature), 3e-7 ((0,1)) and 7.3e-6 ((1,1)).
+level divided by the outer step must stay below the target, so the deep
+routes use larger steps than the curvature route, and their outer levels
+use steps at least as large as the inner ones.  The ladders are commensurate:
+every step of a route is an integer multiple of its smallest half-step
+(s/2 = 2.5 step for (0,1), 20 step for (1,1)), so the nested stencils land
+on one lattice and most of their points coincide (Fornberg, Math. Comp. 51,
+1988, treats stencils on a shared grid).  Coincidence is exact equality of
+the floating-point sums, which the lattice makes common but does not
+guarantee; the counts above are measured.  With the default step 1e-4 the
+worst deviations from the series path at z = 0 are 7.0e-8 (curvature),
+7.1e-9 ((0,1)) and 1.6e-6 ((1,1)) on the 12-kernel fixture set, and 1.6e-7,
+7.0e-9 and 3.8e-6 on a held-out corpus of 32 specs.  The (1,1) stencil
+reaches 240 steps from its point, so at 0 a step of 1/240 or more leaves
+the disc.
 """
 
 from __future__ import annotations
@@ -65,7 +76,7 @@ ORACLE_CROSS_CHECK_TOL = 1e-5
 # metric evaluations per batch call, which bounds the transient stacks
 _BLOCK = 512
 # step multipliers per route, relative to FDConfig.step
-_LADDERS = {"curv": (1, 1), "zbar": (1, 1, 10), "zzbar": (10, 10, 100, 150)}
+_LADDERS = {"curv": (1, 1), "zbar": (5, 5, 10), "zzbar": (40, 40, 80, 80)}
 
 
 @dataclass(frozen=True)
@@ -172,6 +183,17 @@ def _connection(spec: KernelSpec, u: np.ndarray, s: float) -> np.ndarray:
     return G.reshape(u.shape + (n, n))
 
 
+def _once_per_distinct(fn, u: np.ndarray) -> np.ndarray:
+    """fn evaluated once per distinct point of u, gathered back to u.shape + fn's value shape.
+
+    Equal points give equal stencils, so this is bit-identical to fn on all of u.
+    """
+    # ravel first: the inverse is then 1-D on numpy 1.x and 2.x alike
+    distinct, where = np.unique(u.ravel(), return_inverse=True)
+    values = fn(distinct)
+    return values[where].reshape(u.shape + values.shape[1:])
+
+
 def curvature_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np.ndarray:
     """Raw-frame curvature dbar(h^{-1} dh) at z by nested differences."""
     _check_reach(z, cfg, "curv")
@@ -184,7 +206,7 @@ def covd_zbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np
     """Raw-frame (0,1) covariant derivative: dbar of the curvature field."""
     _check_reach(z, cfg, "zbar")
     s1, s2, s3 = cfg.ladder("zbar")
-    G = _connection(spec, _stencil(_stencil(z, s3), s2), s1)
+    G = _once_per_distinct(lambda u: _connection(spec, u, s1), _stencil(_stencil(z, s3), s2))
     return _difference(_difference(G, s2, True), s3, True)
 
 
@@ -193,7 +215,7 @@ def covd_zzbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> n
 
     F = dK + [G, K] is needed on the s4 stencil of z; there K is needed at
     each point u and on its s3 stencil, and G at u and on the s2 stencils of
-    all those K points.  One connection call covers every G point.
+    all those K points.  One connection call covers every distinct G point.
     """
     _check_reach(z, cfg, "zzbar")
     s1, s2, s3, s4 = cfg.ladder("zzbar")
@@ -201,7 +223,8 @@ def covd_zzbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> n
     around = _stencil(outer, s3)
     k_points = np.concatenate([outer[..., None], around.reshape(outer.shape + (-1,))], axis=-1)
     g_points = _stencil(k_points, s2)
-    G = _connection(spec, np.concatenate([outer.ravel(), g_points.ravel()]), s1)
+    G = _once_per_distinct(lambda u: _connection(spec, u, s1),
+                           np.concatenate([outer.ravel(), g_points.ravel()]))
     n = G.shape[-1]
     g = G[: outer.size].reshape(outer.shape + (n, n))
     K = _difference(G[outer.size :].reshape(g_points.shape + (n, n)), s2, True)

@@ -35,6 +35,30 @@ def zoo_fixtures():
     ]
 
 
+def held_out_corpus():
+    """32 valid specs drawn from default_rng(123), disjoint from the fixture set.
+
+    8 Bergman, 10 jet, 10 homogeneous with m <= 3 and 4 direct sums; the
+    oracle's step ladders were not chosen on these.
+    """
+    rng = np.random.default_rng(123)
+    corpus = []
+    for i in range(8):
+        corpus.append((f"bergman_{i}", BergmanPower(rng.uniform(0.5, 6.0))))
+    for i in range(10):
+        alpha, beta = rng.uniform(0.5, 5.0, 2)
+        corpus.append((f"jet_{i}", Jet(alpha=alpha, beta=beta, k=int(rng.integers(1, 3)))))
+    for i in range(10):
+        m = int(rng.integers(1, 4))
+        lam = m / 2 + rng.uniform(0.2, 3.0)
+        corpus.append((f"hom_{i}", Homogeneous(lam=lam, mu=(1.0, *rng.uniform(0.3, 2.0, m)), m=m)))
+    for i in range(4):
+        alpha, beta = rng.uniform(0.5, 5.0, 2)
+        parts = [BergmanPower(rng.uniform(0.5, 6.0)), Jet(alpha=alpha, beta=beta, k=1)]
+        corpus.append((f"ds_{i}", DirectSum(parts)))
+    return corpus
+
+
 def fourier_lattice(fn, order, rank, radius=0.35, npts=64):
     """Independent coefficient-extraction oracle by double Fourier quadrature.
 

@@ -141,6 +141,16 @@ def test_feasible_triple_with_permutations(capsys):
     assert json.loads(out)["feasible_sigmas"] == ["123", "132"]
 
 
+def test_infeasible_triple_prints_null_params(capsys):
+    code, out, _ = run(capsys, ["feasible", "--triple", "0,3,7", "--permutations"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["feasible"] is False and doc["params"] is None
+    assert doc["feasible_sigmas"] == []
+    for sigma, entry in doc["permutations"].items():
+        assert entry["feasible"] is False and entry["params"] is None, sigma
+
+
 def test_feasible_rank2(capsys):
     code, out, _ = run(capsys, ["feasible", "--pair", "1,5", "--rank2"])
     assert code == EXIT_OK
@@ -383,6 +393,29 @@ def test_oracle_residual_above_tolerance_exits_numeric(tmp_path, capsys):
     tol = doc["tolerances"]["oracle_cross_check"]
     assert doc["outputs"]["oracle_residuals"]["d_zzbar"] > tol
     assert err.startswith("numeric error: ") and err.count("\n") == 1
+
+
+def test_invariants_jet_residuals_against_the_absolute_tolerance(tmp_path, capsys):
+    # jet(1.5, 5, k=2) passes since the ladders became commensurate (d_zzbar residual
+    # 2.98e-6); jet(8, 8, k=2), with |d_zzbar| about 556, still reads 3.443e-5
+    path = write(tmp_path, "j.json", {"type": "jet", "alpha": 1.5, "beta": 5.0, "k": 2})
+    code, out, err = run(capsys, ["invariants", "--kernel", path, "--json"])
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["outputs"]["oracle_residuals"]["d_zzbar"] < 5e-6
+    path = write(tmp_path, "j8.json", {"type": "jet", "alpha": 8.0, "beta": 8.0, "k": 2})
+    code, out, err = run(capsys, ["invariants", "--kernel", path, "--json"])
+    assert code == EXIT_NUMERIC
+    assert json.loads(out)["outputs"]["oracle_residuals"]["d_zzbar"] > 1e-5
+    assert err.startswith("numeric error: oracle residuals above 1e-05: d_zzbar ")
+
+
+@pytest.mark.parametrize("step, leaves", [("0.0041", False), ("0.0042", True)])
+def test_fd_step_whose_stencil_leaves_the_disc_exits_numeric(tmp_path, capsys, step, leaves):
+    # the (1,1) stencil reaches 240 steps from 0, so the disc ends at a step of 1/240
+    path = write(tmp_path, "b2.json", BERGMAN2)
+    code, _, err = run(capsys, ["invariants", "--kernel", path, "--fd-step", step])
+    assert code == EXIT_NUMERIC
+    assert ("too close to the boundary for the zzbar stencil" in err) == leaves
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -192,6 +192,7 @@ def test_feasibility_ledger_equivalence(rng):
         res = solve_triple(delta)
         ledger_ok = all(v["ok"] for v in res.checks.values())
         assert res.feasible == (ledger_ok and res.params is not None)
+        assert (res.params is not None) == res.feasible
         if ledger_ok:
             assert res.params is not None
         if delta[0] <= 0.0:
@@ -207,3 +208,12 @@ def test_boundary_triples_are_infeasible():
         for d3 in halves:
             res = solve_triple((0.0, d2, d3))
             assert not res.feasible and not res.checks["mu1_pos"]["ok"], (d2, d3)
+
+
+def test_infeasible_triple_carries_no_params():
+    # abc_to_params finds mu_1^2 = 1.1e-16 > 0 here, but delta_1 = 0 fails the ledger
+    assert abc_to_params(*triple_to_abc((0.0, 3.0, 7.0))) is not None
+    res = solve_triple((0.0, 3.0, 7.0))
+    assert not res.feasible and res.params is None
+    with pytest.raises(DegenerateInputError):
+        res.mu_vector()
