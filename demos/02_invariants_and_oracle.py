@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Curvature invariants at 0: series path, closed forms, and the FD oracle.
+"""Curvature invariants at 0: series path, closed forms, and the oracle.
 
 The series path reads the invariants off the normalized kernel's
-coefficients; the oracle recomputes them by finite-difference Wirtinger
-calculus on exact metric evaluations, never touching the series. Their
-agreement is the package's core correctness argument.
+coefficients; the oracle recomputes them by Wirtinger calculus on Taylor
+jets that a Cauchy integral reads off exact kernel evaluations, never
+touching the series. Their agreement is the package's core correctness
+argument.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import numpy as np
 from cdbundle import (
     DirectSum,
     BergmanPower,
-    FDConfig,
     Homogeneous,
     Jet,
     curvature_eigenvalues_fd,
@@ -35,8 +35,8 @@ print("curvature(0) diagonal:", np.diag(inv.curvature).real)
 print("(0,1) derivative entry (2,3):", inv.d_zbar[1, 2])
 print("(1,1) derivative diagonal:", np.diag(inv.d_zzbar).real)
 
-print("\nFD oracle cross-check (Richardson steps, default ladder):")
-orc = oracle_invariants_at_zero(spec, FDConfig())
+print("\nOracle cross-check (Cauchy-integral jets on a 12 x 12 torus):")
+orc = oracle_invariants_at_zero(spec)
 for key in ("curvature", "d_zbar", "d_zzbar"):
     dev = np.abs(orc[key] - getattr(inv, key)).max()
     print(f"  max |oracle - series| for {key:10s}: {dev:.2e}")

@@ -2,8 +2,9 @@
 
 The package computes, for reproducing-kernel bundles over the disc:
 coefficient-level curvature invariants via truncated series and kernel
-normalization, an independent finite-difference oracle for the same
-quantities, structured deciders for (simultaneous) unitary equivalence of
+normalization, an independent oracle for the same quantities (Cauchy-integral
+jets of the closed-form kernel), structured deciders for (simultaneous)
+unitary equivalence of
 the invariants, and the inverse problem of realizing a prescribed
 curvature diagonal inside the homogeneous kernel family.
 """

@@ -1,12 +1,12 @@
-"""Independent curvature verification by finite-difference Wirtinger calculus.
+"""Independent curvature verification from Cauchy-integral jets of the kernel.
 
 This module never touches the power-series machinery: it works from exact
-closed-form evaluations of the metric h(z) = K(z, z)^t only, applying
-Richardson-extrapolated central differences for the Wirtinger operators
+closed-form evaluations of the kernel K(z, w) only, applying the Wirtinger
+operators
 
     d     = (d/dx - i d/dy) / 2,      dbar = (d/dx + i d/dy) / 2
 
-to the matrix fields G = h^{-1} dh, then
+to the metric h(z) = K(z, z)^t through the matrix fields G = h^{-1} dh, then
 
     curvature      = dbar G
     (0,1) deriv    = dbar curvature
@@ -16,55 +16,41 @@ All outputs are in the raw holomorphic frame of the kernel; use
 :func:`to_orthonormal_frame` with h(point) to compare against the series
 path, which works in the frame orthonormal at the point.
 
-Each route works in three steps.
+Jets.  K(z, w) is holomorphic in z and anti-holomorphic in w, so the
+polarized kernel H(z, zeta) = K(z, conj zeta)^t is holomorphic in both
+variables and h(z) = H(z, conj z).  Every Wirtinger derivative of h at z0
+is a Taylor coefficient of H:
 
-1. Stencil.  The nested differences visit a fixed set of points, a
-   function of z and the step ladder only.  The route lists
-   them as arrays, level by level: u + t, u - t, u + it, u - it around
-   every point u of the level above, with the same floating-point sums a
-   nested scalar evaluation would form.
-2. One batch.  The metric is evaluated once per distinct point (exact
-   equality) through ``KernelSpec.evaluate`` on whole arrays, in blocks of
-   _BLOCK points: one call per block for the points on the real axis and
-   one for the others, and none for a kind the block lacks, so off the
-   real axis each block is a single call.  The connection G of the (0,1)
-   and (1,1) routes is likewise formed once per distinct G point and
-   gathered back; equal points give equal stencils, so this changes no
-   bit.  At 0 with the default configuration the curvature, (0,1) and (1,1)
-   routes form G at 8, 53 and 145 points (of 8, 64 and 584 listed), read
-   72, 477 and 1 305 metric values and evaluate only 33, 125 and 293
-   distinct points.
-3. Combine.  The values are differenced level by level on stacked
-   (..., n, n) arrays with the scalar formulas unchanged:
-   G = solve(h, dh) on the stack, then dK + G K - K G for the (1,1) route.
+    d^a dbar^b h(z0) = a! b! c[a,b],   H(z0 + u, conj z0 + v) = sum c[a,b] u^a v^b
 
-Real-axis rule.  Points with zero imaginary part are evaluated as float64,
-all others as complex128.  The zoo's metrics are real on the real axis, but
-complex power functions leave an imaginary residue of about 1e-17 there;
-the (1,1) route divides by about s1 s2 s3 s4, which amplifies that residue
-roughly 1e9-fold: evaluating every point as complex moves d_zzbar by up
-to 5.2e-7 on the fixture set, a twentieth of the cross-check tolerance.
+The trapezoidal rule on the torus |u| = |v| = r (Lyness and Moler, SIAM J.
+Numer. Anal. 4, 1967) gives the c[a,b] from one ``evaluate`` call at the
+n x n point pairs (z0 + r q^j, z0 + conj(r q^k)), q = exp(2 pi i / n), off
+the diagonal of K, and a partial DFT that reads only the rows needed.
+The formulas above then act on truncated jets, polynomials in u and v with
+d -> d/du, dbar -> d/dv and products truncated, and are read at u = v = 0;
+nothing is nested.  The curvature reads a 2 x 2 jet (n = 8), the covariant
+derivatives a 3 x 3 jet (n = 12).
 
-Step ladders.  Nesting differences amplifies roundoff: the noise of an inner
-level divided by the outer step must stay below the target, so the deep
-routes use larger steps than the curvature route, and their outer levels
-use steps at least as large as the inner ones.  The ladders are commensurate:
-every step of a route is an integer multiple of its smallest half-step
-(s/2 = 2.5 step for (0,1), 20 step for (1,1)), so the nested stencils land
-on one lattice and most of their points coincide (Fornberg, Math. Comp. 51,
-1988, treats stencils on a shared grid).  Coincidence is exact equality of
-the floating-point sums, which the lattice makes common but does not
-guarantee; the counts above are measured.  With the default step 1e-4 the
-worst deviations from the series path at z = 0 are 7.0e-8 (curvature),
-7.1e-9 ((0,1)) and 1.6e-6 ((1,1)) on the 12-kernel fixture set, and 1.6e-7,
-7.0e-9 and 3.8e-6 on a held-out corpus of 32 specs.  The (1,1) stencil
-reaches 240 steps from its point, so at 0 a step of 1/240 or more leaves
-the disc.
+Error model (Bornemann, Found. Comput. Math. 11, 2011).  Aliasing: the rule
+returns c[a,b] plus the coefficients c[a + sn, b + tn] r^(sn + tn), s, t
+not both 0, so the error grows with the growth of the coefficients (like
+k^(alpha + beta) for the jet kernels, which no spec check bounds) and falls
+geometrically as n grows.  Roundoff: the values carry a relative error of
+about eps, which the division by r^(a+b) amplifies to about eps / r^(a+b).
+The coefficients of H at z0 grow like (1 - |z0|)^-(a+b), so the radius
+r = 0.05 (1 - |z0|) keeps both terms, relative to the coefficients, the
+same everywhere in the disc.  Worst deviations from the series path at 0,
+curvature / (0,1) / (1,1): 9.1e-14 / 2.2e-13 / 8.6e-11 on the 12-kernel
+fixture set, 1.4e-13 / 3.0e-13 / 7.7e-11 on the 32-spec held-out corpus and
+9.4e-13 / 1.4e-12 / 1.1e-9 on a 36-spec wide sample with exponents up to 60
+(all in the test suite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,28 +59,22 @@ from .kernels import KernelSpec
 
 # largest accepted deviation of the oracle from the series path at 0
 ORACLE_CROSS_CHECK_TOL = 1e-5
-# metric evaluations per batch call, which bounds the transient stacks
-_BLOCK = 512
-# step multipliers per route, relative to FDConfig.step
-_LADDERS = {"curv": (1, 1), "zbar": (5, 5, 10), "zzbar": (40, 40, 80, 80)}
+# torus radius, as a fraction of the distance 1 - |z| to the boundary
+_RADIUS = 0.05
+# torus points per circle for the curvature (2 x 2 jet) and the derivatives (3 x 3 jet)
+_N_CURVATURE = 8
+_N_DERIVATIVES = 12
 
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference configuration: `step` is the base first-derivative step."""
+    """The CLI's ``--fd-step``: range-checked and echoed, read by no route."""
 
     step: float = 1e-4
 
     def __post_init__(self):
         if not 1e-8 < self.step < 1e-2:
             raise ValueError(f"step must lie in (1e-8, 1e-2), got {self.step}")
-
-    def ladder(self, route: str) -> tuple:
-        return tuple(m * self.step for m in _LADDERS[route])
-
-    def reach(self, route: str) -> float:
-        """Largest total offset from the base point the stencil can visit."""
-        return sum(self.ladder(route))
 
 
 def metric_at(spec: KernelSpec, z: complex) -> np.ndarray:
@@ -110,131 +90,82 @@ def metric_at(spec: KernelSpec, z: complex) -> np.ndarray:
     return h
 
 
-def _check_reach(z: complex, cfg: FDConfig, route: str) -> None:
-    if abs(z) + cfg.reach(route) >= 1.0:
-        raise DiscDomainError(
-            f"point {z} too close to the boundary for the {route} stencil "
-            f"(reach {cfg.reach(route):.3g})"
-        )
+@lru_cache(maxsize=None)
+def _torus(depth: int, n: int) -> tuple:
+    """The torus of radius 1 as (n, n) arrays of u and conj v, the first `depth`
+    rows of the n-point DFT matrix divided by n, and the exponents a + b."""
+    circle = np.exp(2j * np.pi * np.arange(n) / n)
+    u, w = np.meshgrid(circle, np.conj(circle), indexing="ij")
+    dft = np.conj(circle[: depth, None] ** np.arange(n)) / n
+    power = np.arange(depth)
+    return u, w, dft, np.add.outer(power, power)[..., None, None]
 
 
-def _stencil(u, s: float) -> np.ndarray:
-    """Points of one Wirtinger difference with step s around each point of u.
+def _jets(spec: KernelSpec, z: complex, depth: int, n: int) -> np.ndarray:
+    """c[a, b] for a, b < depth: the Taylor coefficients of H(z + u, conj z + v).
 
-    Shape u.shape + (2, 4): steps (s/2, s); the last axis is u + t, u - t,
-    u + it, u - it.
+    Shape (depth, depth, rank, rank).  One ``evaluate`` call on the n x n
+    torus |u| = |v| = r; the einsum output order ``yx`` transposes K into h.
     """
-    return np.asarray(u)[..., None, None] + np.array([[t, -t, 1j * t, -1j * t] for t in (s / 2, s)])
+    if abs(z) >= 1.0:
+        raise DiscDomainError(f"|z| must be < 1, got {abs(z)}")
+    r = _RADIUS * (1.0 - abs(z))
+    u, w, dft, power = _torus(depth, n)
+    c = np.einsum("aj,jkxy,bk->abyx", dft, spec.evaluate(z + r * u, z + r * w), dft)
+    return c / r ** power
 
 
-def _difference(f: np.ndarray, s: float, bar: bool) -> np.ndarray:
-    """d (or dbar) from values f on a stencil, shape (..., 2, 4, n, n) -> (..., n, n).
+def _times(a: np.ndarray) -> np.ndarray:
+    """Left multiplication by the jet a, as one matrix acting on jets of a's shape.
 
-    The central difference runs once over the steps axis; Richardson then
-    combines its two steps (s/2, s) as (4 D(s/2) - D(s)) / 3, which cancels
-    the O(s^2) error term, so halving s divides the error by about 16.
+    A jet b of shape (d1, d2, n, m) is the (d1 d2 n, m) matrix b.reshape(-1, m);
+    cell (p, q) of the truncated product is the sum of a[i, j] b[p - i, q - j].
     """
-    step = np.array([s / 2, s])[:, None, None]
-    dx = (f[..., 0, :, :] - f[..., 1, :, :]) / (2 * step)
-    dy = (f[..., 2, :, :] - f[..., 3, :, :]) / (2 * step)
-    d = 0.5 * (dx + 1j * dy) if bar else 0.5 * (dx - 1j * dy)
-    return (4.0 * d[..., 0, :, :] - d[..., 1, :, :]) / 3.0
+    d1, d2, n = a.shape[0], a.shape[1], a.shape[-1]
+    shift1, shift2 = (np.add.outer(np.arange(d), np.arange(d)) == np.arange(d)[:, None, None]
+                      for d in (d1, d2))
+    return np.einsum("pik,qjl,ijxy->pqxkly", shift1, shift2, a).reshape(d1 * d2 * n, -1)
 
 
-def _metric_values(spec: KernelSpec, points: np.ndarray) -> tuple:
-    """h = K^t at each distinct point of the array, and where each point's value is.
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The truncated jet product a b."""
+    return (_times(a) @ b.reshape(-1, b.shape[-1])).reshape(b.shape)
 
-    Returns (values, where) with values[where[i]] = h(points.flat[i]).  The
-    distinct points are evaluated in blocks of _BLOCK, those on the real
-    axis as float64 and all others as complex128 (see the module docstring);
-    a block with no point of one kind makes no call for that kind.
+
+def _invariants(c: np.ndarray) -> tuple:
+    """Raw-frame curvature, (0,1) and (1,1) derivatives at the centre of a 3 x 3 jet c of h.
+
+    G = h^{-1} dh solves h G = dh on 2 x 3 jets, dh = d/du c; the curvature
+    K = dbar G is then a 2 x 2 jet and F = dK + [G, K] a 1 x 2 jet.
     """
-    distinct, where = np.unique(points.ravel(), return_inverse=True)
-    real = distinct.imag == 0
-    values = np.empty(distinct.shape + (spec.rank, spec.rank), dtype=complex)
-    for start in range(0, distinct.size, _BLOCK):
-        block = slice(start, start + _BLOCK)
-        x, on_axis = distinct[block], real[block]
-        if on_axis.any():
-            values[block][on_axis] = spec.evaluate(x.real[on_axis], x.real[on_axis])
-        if not on_axis.all():
-            values[block][~on_axis] = spec.evaluate(x[~on_axis], x[~on_axis])
-    return np.swapaxes(values, -1, -2), where
+    weights = np.array([1.0, 2.0])[:, None, None]  # d/du u^a v^b = a u^(a-1) v^b, likewise d/dv
+    dh = c[1:] * weights[:, None]
+    G = np.linalg.solve(_times(c[:2]), dh.reshape(-1, dh.shape[-1])).reshape(dh.shape)
+    K = G[:, 1:] * weights
+    g, k = G[:1, :2], K[:1]
+    F = K[1:] + _product(g, k) - _product(k, g)
+    return K[0, 0], K[0, 1], F[0, 1]
 
 
-def _connection(spec: KernelSpec, u: np.ndarray, s: float) -> np.ndarray:
-    """G = h^{-1} dh at every point of u, shape u.shape + (n, n).
-
-    The metric is evaluated once for all points; G is then formed for
-    _BLOCK // (stencil size) points of u at a time, so the stacks of metric
-    values stay small.
-    """
-    around = _stencil(u, s).reshape(u.size, -1)
-    points = np.concatenate([u.reshape(-1, 1), around], axis=1)
-    values, where = _metric_values(spec, points)
-    where = where.reshape(points.shape)
-    n = values.shape[-1]
-    G = np.empty((u.size, n, n), dtype=complex)
-    step = max(1, _BLOCK // points.shape[1])
-    for start in range(0, u.size, step):
-        h = values[where[start : start + step]]
-        dh = h[:, 1:].reshape((len(h), -1, 4, n, n))
-        G[start : start + step] = np.linalg.solve(h[:, 0], _difference(dh, s, False))
-    return G.reshape(u.shape + (n, n))
+def curvature_fd(spec: KernelSpec, z: complex) -> np.ndarray:
+    """Raw-frame curvature dbar(h^{-1} dh) = h^{-1} (c11 - c01 h^{-1} c10) at z (2 x 2 jet)."""
+    c = _jets(spec, z, 2, _N_CURVATURE)
+    h_inv = np.linalg.inv(c[0, 0])
+    return h_inv @ (c[1, 1] - c[0, 1] @ h_inv @ c[1, 0])
 
 
-def _once_per_distinct(fn, u: np.ndarray) -> np.ndarray:
-    """fn evaluated once per distinct point of u, gathered back to u.shape + fn's value shape.
-
-    Equal points give equal stencils, so this is bit-identical to fn on all of u.
-    """
-    # ravel first: the inverse is then 1-D on numpy 1.x and 2.x alike
-    distinct, where = np.unique(u.ravel(), return_inverse=True)
-    values = fn(distinct)
-    return values[where].reshape(u.shape + values.shape[1:])
-
-
-def curvature_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Raw-frame curvature dbar(h^{-1} dh) at z by nested differences."""
-    _check_reach(z, cfg, "curv")
-    s1, s2 = cfg.ladder("curv")
-    G = _connection(spec, _stencil(z, s2), s1)
-    return _difference(G, s2, True)
-
-
-def covd_zbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np.ndarray:
+def covd_zbar_fd(spec: KernelSpec, z: complex) -> np.ndarray:
     """Raw-frame (0,1) covariant derivative: dbar of the curvature field."""
-    _check_reach(z, cfg, "zbar")
-    s1, s2, s3 = cfg.ladder("zbar")
-    G = _once_per_distinct(lambda u: _connection(spec, u, s1), _stencil(_stencil(z, s3), s2))
-    return _difference(_difference(G, s2, True), s3, True)
+    return _invariants(_jets(spec, z, 3, _N_DERIVATIVES))[1]
 
 
-def covd_zzbar_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np.ndarray:
-    """Raw-frame (1,1) covariant derivative dbar( d K + [G, K] ) at z.
-
-    F = dK + [G, K] is needed on the s4 stencil of z; there K is needed at
-    each point u and on its s3 stencil, and G at u and on the s2 stencils of
-    all those K points.  One connection call covers every distinct G point.
-    """
-    _check_reach(z, cfg, "zzbar")
-    s1, s2, s3, s4 = cfg.ladder("zzbar")
-    outer = _stencil(z, s4)
-    around = _stencil(outer, s3)
-    k_points = np.concatenate([outer[..., None], around.reshape(outer.shape + (-1,))], axis=-1)
-    g_points = _stencil(k_points, s2)
-    G = _once_per_distinct(lambda u: _connection(spec, u, s1),
-                           np.concatenate([outer.ravel(), g_points.ravel()]))
-    n = G.shape[-1]
-    g = G[: outer.size].reshape(outer.shape + (n, n))
-    K = _difference(G[outer.size :].reshape(g_points.shape + (n, n)), s2, True)
-    k = K[..., 0, :, :]
-    dK = _difference(K[..., 1:, :, :].reshape(around.shape + (n, n)), s3, False)
-    return _difference(dK + g @ k - k @ g, s4, True)
+def covd_zzbar_fd(spec: KernelSpec, z: complex) -> np.ndarray:
+    """Raw-frame (1,1) covariant derivative dbar( d K + [G, K] ) at z."""
+    return _invariants(_jets(spec, z, 3, _N_DERIVATIVES))[2]
 
 
 def to_orthonormal_frame(M: np.ndarray, h0: np.ndarray) -> np.ndarray:
-    """Conjugate a raw-frame invariant into the frame orthonormal at the point.
+    """Conjugate raw-frame invariants (one or a stack) into the frame orthonormal at the point.
 
     The holomorphic frame change g with g(point) = h0^{-1/2} makes the metric
     the identity there, and curvature-type tensors transform as g^{-1} M g,
@@ -259,22 +190,19 @@ def to_orthonormal_frame(M: np.ndarray, h0: np.ndarray) -> np.ndarray:
     return half @ M @ np.linalg.inv(half)
 
 
-def oracle_invariants_at_zero(spec: KernelSpec, cfg: FDConfig = FDConfig()) -> dict:
-    """Orthonormal-frame oracle triple at 0.
+def oracle_invariants_at_zero(spec: KernelSpec) -> dict:
+    """Orthonormal-frame oracle triple at 0, from one 3 x 3 jet.
 
     Returns plain matrices under keys 'curvature', 'd_zbar', 'd_zzbar';
-    unlike the series path they carry finite-difference noise, so no
+    unlike the series path they carry quadrature error, so no
     Hermitian-validation gate is applied here.
     """
     h0 = metric_at(spec, 0.0)
-    return {
-        "curvature": to_orthonormal_frame(curvature_fd(spec, 0.0, cfg), h0),
-        "d_zbar": to_orthonormal_frame(covd_zbar_fd(spec, 0.0, cfg), h0),
-        "d_zzbar": to_orthonormal_frame(covd_zzbar_fd(spec, 0.0, cfg), h0),
-    }
+    raw = np.stack(_invariants(_jets(spec, 0.0, 3, _N_DERIVATIVES)))
+    return dict(zip(("curvature", "d_zbar", "d_zzbar"), to_orthonormal_frame(raw, h0)))
 
 
-def curvature_eigenvalues_fd(spec: KernelSpec, z: complex, cfg: FDConfig = FDConfig()) -> np.ndarray:
+def curvature_eigenvalues_fd(spec: KernelSpec, z: complex) -> np.ndarray:
     """Ascending real curvature eigenvalues at z (frame independent)."""
-    vals = np.linalg.eigvals(curvature_fd(spec, z, cfg))
+    vals = np.linalg.eigvals(curvature_fd(spec, z))
     return np.sort(vals.real)

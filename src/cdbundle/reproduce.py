@@ -23,7 +23,7 @@ from .feasibility import (
 )
 from .invariants import INVARIANT_ORDER, invariants_at_zero
 from .kernels import BergmanPower, DirectSum, Jet, kernel_taylor, weighted_shift
-from .oracle import FDConfig, curvature_eigenvalues_fd
+from .oracle import curvature_eigenvalues_fd
 
 
 def _rec(records, name, ok, detail=""):
@@ -70,12 +70,11 @@ def run_example1():
     inv1 = invariants_at_zero(kernel_taylor(s1, INVARIANT_ORDER))
     inv2 = invariants_at_zero(kernel_taylor(s2, INVARIANT_ORDER))
 
-    cfg = FDConfig()
     pts = [complex(x, y) for x in np.linspace(-0.45, 0.45, 5) for y in np.linspace(-0.45, 0.45, 5)]
     worst = 0.0
     for z in pts:
-        e1 = curvature_eigenvalues_fd(s1, z, cfg)
-        e2 = curvature_eigenvalues_fd(s2, z, cfg)
+        e1 = curvature_eigenvalues_fd(s1, z)
+        e2 = curvature_eigenvalues_fd(s2, z)
         worst = max(worst, float(np.abs(e1 - e2).max() / np.abs(e1).max()))
     _rec(records, "curvature eigenvalue fields agree on 25 points (rel 1e-5)",
          worst <= 1e-5, f"worst rel dev {worst:.2e}")

@@ -9,6 +9,7 @@ from cdbundle import (
     MatrixPowerSeries2,
     Permuted,
 )
+from cdbundle import oracle
 
 
 @pytest.fixture
@@ -57,6 +58,43 @@ def held_out_corpus():
         parts = [BergmanPower(rng.uniform(0.5, 6.0)), Jet(alpha=alpha, beta=beta, k=1)]
         corpus.append((f"ds_{i}", DirectSum(parts)))
     return corpus
+
+
+def wide_sample():
+    """36 valid specs with wide exponents, for the oracle's worst residuals.
+
+    20 jets with alpha, beta ~ U(0.5, 12) and k in {1, 2} and 10 homogeneous
+    specs with m in {1, 2, 3}, lambda = m/2 + U(0.1, 6), mu_0 = 1 and the
+    other mu_i ~ U(0.2, 3), drawn from default_rng(7); then two named jets
+    and four specs with exponents up to 60.  The oracle's torus radius and
+    sizes were not chosen on these.
+    """
+    rng = np.random.default_rng(7)
+    sample = []
+    for i in range(20):
+        alpha, beta = rng.uniform(0.5, 12.0, 2)
+        sample.append((f"jet_{i}", Jet(alpha=alpha, beta=beta, k=int(rng.integers(1, 3)))))
+    for i in range(10):
+        m = int(rng.integers(1, 4))
+        lam = m / 2 + rng.uniform(0.1, 6.0)
+        sample.append((f"hom_{i}", Homogeneous(lam=lam, mu=(1.0, *rng.uniform(0.2, 3.0, m)), m=m)))
+    return sample + [
+        ("jet_8_8_2", Jet(alpha=8.0, beta=8.0, k=2)),
+        ("jet_1.5_5_2", Jet(alpha=1.5, beta=5.0, k=2)),
+        ("jet_20_20_2", Jet(alpha=20.0, beta=20.0, k=2)),
+        ("jet_40_40_2", Jet(alpha=40.0, beta=40.0, k=2)),
+        ("bergman_60", BergmanPower(60.0)),
+        ("hom_30_m3", Homogeneous(lam=30.0, mu=(1.0, 2.0, 0.5, 1.5), m=3)),
+    ]
+
+
+def jet_curvature_errors(monkeypatch, sizes):
+    """|curvature - 3 / (1 - 0.25)^2| of BergmanPower(3) at z = 0.5 for each torus size."""
+    errs = []
+    for n in sizes:
+        monkeypatch.setattr(oracle, "_N_CURVATURE", n)
+        errs.append(abs(oracle.curvature_fd(BergmanPower(3.0), 0.5)[0, 0] - 3.0 / (1 - 0.25) ** 2))
+    return errs
 
 
 def fourier_lattice(fn, order, rank, radius=0.35, npts=64):

@@ -9,7 +9,6 @@ import pytest
 
 from cdbundle import (
     BergmanPower,
-    FDConfig,
     Homogeneous,
     Verdict,
     covd_zbar_fd,
@@ -31,7 +30,7 @@ from cdbundle import (
 from cdbundle.feasibility import IDENTITY, RHO, TAU, check_region
 from cdbundle.invariants import homogeneous_invariants_closed
 from cdbundle.reproduce import ds_jet_closed_forms, example1_pair, example2_pair
-from conftest import zoo_fixtures
+from conftest import jet_curvature_errors, zoo_fixtures
 
 
 def report(num, ok, desc, detail=""):
@@ -293,7 +292,7 @@ def test_criterion_09_homogeneity_scaling():
            f"worst rel dev {worst:.2e} over 100 evaluations")
 
 
-def test_criterion_10_oracle_vs_series_and_convergence():
+def test_criterion_10_oracle_vs_series_and_convergence(monkeypatch):
     worst = 0.0
     worst_name = ""
     for name, spec in zoo_fixtures():
@@ -303,16 +302,11 @@ def test_criterion_10_oracle_vs_series_and_convergence():
             dev = float(np.abs(orc[key] - getattr(inv, key)).max())
             if dev > worst:
                 worst, worst_name = dev, f"{name}/{key}"
-    ratios_ok = True
-    spec = BergmanPower(3.0)
-    expected = 3.0 / (1 - 0.25) ** 2
-    errs = [
-        abs(curvature_fd(spec, 0.5, FDConfig(step=s))[0, 0] - expected)
-        for s in (8e-3, 4e-3, 2e-3)
-    ]
-    for e0, e1 in zip(errs, errs[1:]):
-        ratios_ok = ratios_ok and 12.0 <= e0 / e1 <= 20.0
+    # the torus rule's error falls geometrically as n grows by 2: 4 -> 6 -> 8
+    errs = jet_curvature_errors(monkeypatch, (4, 6, 8))
+    ratios_ok = all(1000.0 <= e0 / e1 <= 2200.0 for e0, e1 in zip(errs, errs[1:]))
     ok = worst <= 1e-5 and ratios_ok
-    report(10, ok, "oracle matches series on the fixture set; Richardson halving ratio in [12,20]",
+    report(10, ok, "oracle matches series on the fixture set; jet error ratio per 2 torus "
+           "points in [1000, 2200]",
            f"worst dev {worst:.2e} at {worst_name}; ratios "
-           f"{errs[0] / errs[1]:.2f}, {errs[1] / errs[2]:.2f}")
+           f"{errs[0] / errs[1]:.0f}, {errs[1] / errs[2]:.0f}")
