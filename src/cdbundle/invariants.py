@@ -29,8 +29,8 @@ from .series import (
     MatrixPowerSeries2,
     _cauchy_term,
     assert_hermitian,
-    hermitian_sqrt,
     leading_inverse,
+    positive_sqrt,
 )
 
 CURVATURE_HERM_TOL = 1e-10
@@ -83,8 +83,9 @@ def _normalized_cells(K: MatrixPowerSeries2, cells) -> np.ndarray:
     """
     a = K.coeffs
     a00 = assert_hermitian(a[0, 0], what="constant kernel coefficient")
-    half = hermitian_sqrt(a00)
-    a00_inv = leading_inverse(a00)
+    vals, vecs = np.linalg.eigh(a00)  # the one factorization of a00
+    half = positive_sqrt(vals, vecs)
+    a00_inv = leading_inverse(vals, vecs)
     width = {}  # row k of L K -> its highest column read
     for k, l in cells:
         width[k] = max(width.get(k, 0), l)

@@ -17,11 +17,17 @@ closed forms do, so kernels themselves are stored untransposed.
 
 Specs are immutable and validated on construction; everything here is a
 pure function of its arguments and safe to share across threads.  The
-point-independent tables of ``evaluate`` (derivative coefficients,
-nilpotent powers, permutation matrices) are built on first use and kept on
-the spec (``functools.cached_property``); they hold constants of the spec
-only, never points or results.  Two threads racing on a fresh spec may both
-build a table, with equal values, and either copy is kept.
+point-independent tables of ``evaluate`` are built on first use and kept on
+the spec (``functools.cached_property``): a jet's derivative coefficients,
+the distinct exponents of z, conj(w) and 1 - z conj(w) with the maps that
+gather their powers into each term; the homogeneous family's nilpotent
+powers, the diagonal of B and the exponents of D(x); a permutation's index
+sigma - 1.  They hold constants of the spec only, never points or results.
+Two threads racing on a fresh spec may both build a table, with equal
+values, and either copy is kept.  Each base is raised once per point to each
+distinct exponent, and the diagonal and permutation factors are applied by
+scaling and gathering; every output is bit-identical to the per-term powers
+and the dense matrix products B and P K P^* written out.
 """
 
 from __future__ import annotations
@@ -217,9 +223,11 @@ class Jet(KernelSpec):
         d^j_wbar gives (beta)_j z^j (1-x)^{-beta-j} with x = z wbar; the z
         derivatives then follow from the Leibniz rule on z^j * (1-x)^{-beta-j}:
         a sum over t <= min(i, j) of C(i, t) j!/(j-t)! z^{j-t} (beta+j)_{i-t}
-        wbar^{i-t} (1-x)^{-beta-j-(i-t)}.  Returns the row (beta)_j and, per t,
-        the (n, n) tables of C(i, t) j!/(j-t)!, the exponent of z, (beta+j)_{i-t},
-        the exponent of wbar and the exponent of (1-x); the terms with
+        wbar^{i-t} (1-x)^{-beta-j-(i-t)}.  Returns the row (beta)_j; per t,
+        the (n, n) tables of C(i, t) j!/(j-t)! and (beta+j)_{i-t}; and for
+        each base z, wbar and 1 - x, the distinct values of its (t, i, j)
+        exponent table with the map of each table entry into them, so that
+        evaluate raises each base once per distinct exponent.  The terms with
         t > min(i, j) carry coefficient 0.
         """
         n, beta = self.k + 1, self.beta
@@ -227,26 +235,33 @@ class Jet(KernelSpec):
         terms = tuple(
             (
                 np.array([[math.comb(a, t) * falling(b, t) for b in range(n)] for a in range(n)]),
-                np.maximum(j - t, 0),
                 np.array([[rising(beta + b, a - t) for b in range(n)] for a in range(n)]),
-                np.maximum(i - t, 0),
-                -beta - j - (i - t),
             )
             for t in range(n)
         )
-        return np.array([rising(beta, b) for b in range(n)]), terms
+        exponents = (
+            np.array([np.maximum(j - t, 0) for t in range(n)]),
+            np.array([np.maximum(i - t, 0) for t in range(n)]),
+            np.array([-beta - j - (i - t) for t in range(n)]),
+        )
+        powers = []
+        for table in exponents:
+            distinct, at = np.unique(table, return_inverse=True)
+            powers.append((distinct, at.reshape(table.shape)))
+        return np.array([rising(beta, b) for b in range(n)]), terms, tuple(powers)
 
     def evaluate(self, z, w) -> np.ndarray:
         _check_disc(z, w)
         wbar = np.conj(w)
         base = np.asarray((1 - z * wbar) ** (-self.alpha))[..., None, None]
-        front, terms = self._tables
-        z = np.asarray(z)[..., None, None]
-        wbar = np.asarray(wbar)[..., None, None]
-        x = z * wbar
+        front, terms, ((z_exps, z_at), (w_exps, w_at), (x_exps, x_at)) = self._tables
+        z = np.asarray(z)[..., None]
+        wbar = np.asarray(wbar)[..., None]
+        zpow, wpow, xpow = z ** z_exps, wbar ** w_exps, (1 - z * wbar) ** x_exps
         total = 0.0
-        for coeff, z_exp, rise, w_exp, x_exp in terms:
-            total = total + coeff * z ** z_exp * rise * wbar ** w_exp * (1 - x) ** x_exp
+        for t, (coeff, rise) in enumerate(terms):
+            zt, wt, xt = zpow[..., z_at[t]], wpow[..., w_at[t]], xpow[..., x_at[t]]
+            total = total + coeff * zt * rise * wt * xt
         return np.asarray(base * (front * total), dtype=complex)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
@@ -362,12 +377,12 @@ class Homogeneous(KernelSpec):
     def _tables(self) -> tuple:
         """The point-independent factors of evaluate.
 
-        The terms S^r/r! and (S^*)^r/r! of the two exponentials, B, and the
-        exponents m - l of the diagonal of D(x).
+        The terms S^r/r! and (S^*)^r/r! of the two exponentials, the
+        diagonal d of B, and the exponents m - l of the diagonal of D(x).
         """
         m = self.m
         S = shift_matrix(m)
-        return (_nilpotent_terms(S), _nilpotent_terms(S.conj().T), self.triangular.B,
+        return (_nilpotent_terms(S), _nilpotent_terms(S.conj().T), self.triangular.d,
                 m - np.arange(m + 1))
 
     def evaluate(self, z, w) -> np.ndarray:
@@ -375,11 +390,12 @@ class Homogeneous(KernelSpec):
         m = self.m
         wbar = np.conj(w)
         x = np.asarray(z * wbar)[..., None, None]
-        w_terms, z_terms, B, d_exp = self._tables
+        w_terms, z_terms, d, d_exp = self._tables
         expw = _nilpotent_exp(wbar, w_terms)
         expz = _nilpotent_exp(z, z_terms)
         D = (1 - x) ** d_exp  # the diagonal of D(x), as a row
-        return (1 - x) ** (-2 * self.lam - m) * (np.swapaxes(D, -1, -2) * (expw @ B @ expz) * D)
+        # (expw * d) scales column j by d_j: expw B without a matrix product
+        return (1 - x) ** (-2 * self.lam - m) * (np.swapaxes(D, -1, -2) * ((expw * d) @ expz) * D)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         """The lattice in closed form.
@@ -451,11 +467,15 @@ class Permuted(KernelSpec):
         return permutation_matrix(self.sigma)
 
     @cached_property
-    def _p_adjoint(self) -> np.ndarray:
-        return self._p.conj().T
+    def _index(self) -> np.ndarray:
+        """sigma - 1: entry (i, j) of P K P^* is entry (sigma(i), sigma(j)) of K."""
+        return np.array(self.sigma) - 1
 
     def evaluate(self, z, w) -> np.ndarray:
-        return self._p @ self.inner.evaluate(z, w) @ self._p_adjoint
+        # rows, then columns, gathered into a C-contiguous array; adding 0.0
+        # turns -0.0 into +0.0, which makes the result bit-identical to P K P^*
+        idx = self._index
+        return np.take(np.take(self.inner.evaluate(z, w), idx, axis=-2), idx, axis=-1) + 0.0
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         return self.inner.taylor(order).conjugate_by(self._p)

@@ -115,6 +115,14 @@ def _jets(spec: KernelSpec, z: complex, depth: int, n: int) -> np.ndarray:
     return c / r ** power
 
 
+@lru_cache(maxsize=None)
+def _shift(d: int) -> np.ndarray:
+    """The (d, d, d) boolean table of i + k == p, indexed [p, i, k]; read-only."""
+    shift = np.add.outer(np.arange(d), np.arange(d)) == np.arange(d)[:, None, None]
+    shift.setflags(write=False)
+    return shift
+
+
 def _times(a: np.ndarray) -> np.ndarray:
     """Left multiplication by the jet a, as one matrix acting on jets of a's shape.
 
@@ -122,9 +130,7 @@ def _times(a: np.ndarray) -> np.ndarray:
     cell (p, q) of the truncated product is the sum of a[i, j] b[p - i, q - j].
     """
     d1, d2, n = a.shape[0], a.shape[1], a.shape[-1]
-    shift1, shift2 = (np.add.outer(np.arange(d), np.arange(d)) == np.arange(d)[:, None, None]
-                      for d in (d1, d2))
-    return np.einsum("pik,qjl,ijxy->pqxkly", shift1, shift2, a).reshape(d1 * d2 * n, -1)
+    return np.einsum("pik,qjl,ijxy->pqxkly", _shift(d1), _shift(d2), a).reshape(d1 * d2 * n, -1)
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -186,8 +192,10 @@ def to_orthonormal_frame(M: np.ndarray, h0: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(h0)
     if vals.min() < 1e-10:
         raise MetricDegeneracyError(f"metric not positive definite (min eigenvalue {vals.min():.3e})")
-    half = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    return half @ M @ np.linalg.inv(half)
+    root = np.sqrt(vals)
+    half = (vecs * root) @ vecs.conj().T
+    inv_half = (vecs / root) @ vecs.conj().T  # from the same eigh, not a second factorization
+    return half @ M @ inv_half
 
 
 def oracle_invariants_at_zero(spec: KernelSpec) -> dict:

@@ -60,32 +60,32 @@ def assert_hermitian(a: np.ndarray, tol: float = TOL_HERM, what: str = "matrix")
     return a
 
 
-def leading_inverse(a00: np.ndarray) -> np.ndarray:
-    """a00^{-1} for the constant coefficient of a series to be inverted.
+def leading_inverse(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """a00^{-1} = V diag(1/vals) V^* for the constant coefficient of a series to be inverted.
 
-    Raises SingularLeadingTermError when a00 is singular or its condition
-    number exceeds 1e14.
+    a00 is Hermitian and (vals, vecs) = np.linalg.eigh(a00), so the inverse,
+    the condition number max|vals| / min|vals| and a square root
+    (:func:`positive_sqrt`) all come from one factorization.  Raises
+    SingularLeadingTermError when a00 is singular or its condition number
+    exceeds 1e14.
     """
-    try:
-        a00_inv = np.linalg.inv(a00)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLeadingTermError("constant coefficient is singular") from exc
-    cond = np.linalg.cond(a00)
-    if not np.isfinite(cond) or cond > 1e14:
+    mags = np.abs(vals)
+    if not mags.min() > 0:
+        raise SingularLeadingTermError("constant coefficient is singular")
+    cond = float(mags.max()) / float(mags.min())
+    if cond > 1e14:
         raise SingularLeadingTermError(
             f"constant coefficient numerically singular (cond {cond:.3e})"
         )
-    return a00_inv
+    return (vecs / vals) @ vecs.conj().T
 
 
-def hermitian_sqrt(a: np.ndarray, floor: float = 1e-10) -> np.ndarray:
-    """Principal square root of a Hermitian positive definite matrix.
+def positive_sqrt(vals: np.ndarray, vecs: np.ndarray, floor: float = 1e-10) -> np.ndarray:
+    """Principal square root V diag(sqrt(vals)) V^* from (vals, vecs) = np.linalg.eigh(a).
 
     Eigenvalues below `floor` are rejected rather than clipped: a degenerate
     metric invalidates every downstream invariant formula.
     """
-    a = assert_hermitian(a, what="sqrt argument")
-    vals, vecs = np.linalg.eigh(a)
     if vals.min() < floor:
         raise MetricDegeneracyError(
             f"matrix not positive definite (min eigenvalue {vals.min():.3e} < {floor:g})"
@@ -161,10 +161,13 @@ class MatrixPowerSeries2:
         b[k,l] = -( sum_{(p,q) < (k,l)} b[p,q] a[k-p,l-q] ) a[0,0]^{-1}.
         Specializing to l = 0 this is the one-row recursion
         sum_{s<=k} b[s,0] a[k-s,0] = 0 used by the coefficient identities.
+        a[0,0] must be Hermitian (ValueError otherwise): it is inverted
+        from its eigendecomposition, as in normalization.
         """
         N = self.order
         a = self.coeffs
-        a00_inv = leading_inverse(a[0, 0])
+        a00 = assert_hermitian(a[0, 0], what="constant coefficient")
+        a00_inv = leading_inverse(*np.linalg.eigh(a00))
         b = np.zeros_like(a)
         b[0, 0] = a00_inv
         # row-major order: every b[p,q] with p <= k, q <= l is known, and

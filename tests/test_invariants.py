@@ -21,7 +21,7 @@ from cdbundle import (
 )
 from cdbundle import invariants, series
 from cdbundle.kernels import TriangularData, weighted_shift
-from cdbundle.series import MatrixPowerSeries2, assert_hermitian, hermitian_sqrt
+from cdbundle.series import MatrixPowerSeries2, assert_hermitian, positive_sqrt
 from conftest import random_kernel_series, zoo_fixtures
 
 SQ5, SQ6 = np.sqrt(5.0), np.sqrt(6.0)
@@ -61,7 +61,7 @@ def tilde_a_closed(K: MatrixPowerSeries2, which: str) -> np.ndarray:
         raise TruncationOrderError("closed coefficient formulas need order >= 2")
     a00 = K.coeff(0, 0)
     a00_inv = np.linalg.inv(a00)
-    root_inv = np.linalg.inv(hermitian_sqrt(assert_hermitian(a00, what="a00")))
+    root_inv = np.linalg.inv(positive_sqrt(*np.linalg.eigh(assert_hermitian(a00, what="a00"))))
     a10, a01 = K.coeff(1, 0), K.coeff(0, 1)
     a11, a12, a21 = K.coeff(1, 1), K.coeff(1, 2), K.coeff(2, 1)
     a20, a02, a22 = K.coeff(2, 0), K.coeff(0, 2), K.coeff(2, 2)
@@ -97,7 +97,7 @@ def tilde_a_general(K: MatrixPowerSeries2, k: int, l: int) -> np.ndarray:
         raise TruncationOrderError("series order too small for requested coefficient")
     a = K.coeffs
     b = K.invert().coeffs
-    half = hermitian_sqrt(assert_hermitian(K.coeff(0, 0), what="a00"))
+    half = positive_sqrt(*np.linalg.eigh(assert_hermitian(K.coeff(0, 0), what="a00")))
     n = K.rank
     acc = np.zeros((n, n), dtype=complex)
     for s in range(1, k + 1):
@@ -248,7 +248,7 @@ def _composed_normalize(K):
     z_only[:, 0], w_only[0, :] = a[:, 0], a[0, :]
     left = MatrixPowerSeries2(z_only).invert()
     right = MatrixPowerSeries2(w_only).invert()
-    half = hermitian_sqrt(K.coeff(0, 0))
+    half = positive_sqrt(*np.linalg.eigh(K.coeff(0, 0)))
     return np.einsum("ij,kljm,mn->klin", half, left.multiply(K).multiply(right).coeffs, half)
 
 

@@ -18,7 +18,8 @@ from cdbundle import (
     spec_from_dict,
     spec_to_dict,
 )
-from cdbundle.kernels import permutation_matrix, rising, shift_matrix, weighted_shift
+from cdbundle.kernels import falling, permutation_matrix, rising, shift_matrix, weighted_shift
+from cdbundle.oracle import _torus
 from conftest import fourier_lattice, zoo_fixtures
 
 SAMPLE_POINTS = [(0.3, 0.2), (0.1 + 0.25j, -0.3 + 0.1j), (-0.35j, 0.2 + 0.2j)]
@@ -280,6 +281,92 @@ def test_batched_evaluate_checks_every_point():
             spec.evaluate(z, z)
         with pytest.raises(DiscDomainError):
             spec.evaluate(z.real, np.full(5, 1.5))
+
+
+def _reference_evaluate(spec, z, w):
+    """K(z, w) by dense formulas, for a byte-for-byte comparison with evaluate.
+
+    Permutations as P K P^*, the homogeneous family with exp(conj(w) S) B
+    exp(z S^*) as two matrix products, and jets with every power taken once
+    per term and table entry; the direct sum and the Bergman power as in
+    the library.
+    """
+    if isinstance(spec, Permuted):
+        p = permutation_matrix(spec.sigma)
+        return p @ _reference_evaluate(spec.inner, z, w) @ p.conj().T
+    if isinstance(spec, DirectSum):
+        blocks = [_reference_evaluate(part, z, w) for part in spec.parts]
+        out = np.zeros(blocks[0].shape[:-2] + (spec.rank, spec.rank), dtype=complex)
+        at = 0
+        for blk in blocks:
+            r = blk.shape[-1]
+            out[..., at : at + r, at : at + r] = blk
+            at += r
+        return out
+    if isinstance(spec, Homogeneous):
+        m, wbar = spec.m, np.conj(w)
+        S = shift_matrix(m)
+        x = np.asarray(z * wbar)[..., None, None]
+
+        def exp(t, a):
+            t = np.asarray(t)[..., None, None]
+            term = out = np.eye(m + 1, dtype=complex)
+            power = np.ones_like(t)
+            for r in range(1, m + 1):
+                term = term @ a / r
+                power = power * t
+                out = out + power * term
+            return out
+
+        D = (1 - x) ** (m - np.arange(m + 1))
+        B = spec.triangular.B
+        dense = exp(wbar, S) @ B @ exp(z, S.conj().T)
+        return (1 - x) ** (-2 * spec.lam - m) * (np.swapaxes(D, -1, -2) * dense * D)
+    if isinstance(spec, Jet):
+        n, beta = spec.k + 1, spec.beta
+        i, j = np.indices((n, n))
+        wbar = np.conj(w)
+        base = np.asarray((1 - z * wbar) ** (-spec.alpha))[..., None, None]
+        z = np.asarray(z)[..., None, None]
+        wbar = np.asarray(wbar)[..., None, None]
+        x = z * wbar
+        total = 0.0
+        for t in range(n):
+            coeff = np.array([[math.comb(a, t) * falling(b, t) for b in range(n)]
+                              for a in range(n)])
+            rise = np.array([[rising(beta + b, a - t) for b in range(n)] for a in range(n)])
+            total = total + (coeff * z ** np.maximum(j - t, 0) * rise * wbar ** np.maximum(i - t, 0)
+                             * (1 - x) ** (-beta - j - (i - t)))
+        front = np.array([rising(beta, b) for b in range(n)])
+        return np.asarray(base * (front * total), dtype=complex)
+    return spec.evaluate(z, w)
+
+
+def test_evaluate_bytes_match_the_dense_formulas():
+    hom = Homogeneous(lam=1.6, mu=(1.0, 0.8, 1.3, 0.5), m=3)
+    nested = Permuted(DirectSum([Jet(1.3, 2.7, 2), Permuted(hom, (4, 1, 3, 2)), BergmanPower(2.2)]),
+                      (5, 2, 7, 1, 3, 8, 4, 6))
+    # with beta = 0.61, (-beta - 2) - 2 and -beta - 4 differ in the last bit
+    specs = zoo_fixtures() + [("jet_1.3_2.7_2", Jet(1.3, 2.7, 2)),
+                              ("jet_1.3_0.61_2", Jet(1.3, 0.61, 2)),
+                              ("hom_1.6_m3", hom), ("nested", nested)]
+    rng = np.random.default_rng(18)
+    line = 0.7 * np.sqrt(rng.random((2, 9))) * np.exp(2j * np.pi * rng.random((2, 9)))
+    points = [(0.2 - 0.35j, 0.4 + 0.1j), (-0.6j, 0.55), (0j, 0j), (0.3, -0.45), (-0.7, 0.7),
+              (0.0, 0.0), tuple(line), tuple(line.real)]
+    for n in (8, 12):
+        u, v, _, _ = _torus(3, n)
+        for z0 in (0.0, 0.3 - 0.2j, -0.9):
+            r = 0.05 * (1 - abs(z0))
+            points.append((z0 + r * u, z0 + r * v))
+    for name, spec in specs:
+        for z, w in points:
+            got, want = spec.evaluate(z, w), _reference_evaluate(spec, z, w)
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert got.tobytes() == want.tobytes(), (name, z, w)
+            for part in ("real", "imag"):
+                signs = np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
+                assert np.array_equal(*signs), (name, part)
 
 
 def _table_specs():

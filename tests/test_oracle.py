@@ -162,6 +162,26 @@ def test_to_orthonormal_frame_basics():
     assert np.abs(to_orthonormal_frame(d, h0) - d).max() < 1e-14
 
 
+def test_to_orthonormal_frame_is_conjugation_by_the_square_root():
+    # h0^{1/2} M h0^{-1/2}, with h0^{-1/2} inverted as a matrix
+    rng = np.random.default_rng(18)
+    for n in (1, 2, 3, 4):
+        for _ in range(10):
+            M = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for h0, exact in ((np.diag(rng.uniform(0.05, 20.0, n)), True),
+                              (a @ a.conj().T + n * np.eye(n), False)):
+                h0 = 0.5 * (h0 + h0.conj().T)
+                vals, vecs = np.linalg.eigh(h0)
+                half = (vecs * np.sqrt(vals)) @ vecs.conj().T
+                want = half @ M @ np.linalg.inv(half)
+                got = to_orthonormal_frame(M, h0)
+                if exact:  # h(0) is diagonal for every spec the library can express
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_to_orthonormal_frame_rejects_bad_metrics():
     m = np.eye(2, dtype=complex)
     for h0 in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.array([[1.0, 1e-9], [0.0, 1.0]])):

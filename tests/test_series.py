@@ -122,6 +122,14 @@ def test_invert_singular_leading_term():
         s.invert()
 
 
+def test_invert_needs_hermitian_constant_term():
+    # a00 is inverted from its eigendecomposition, as in normalization
+    c = np.zeros((3, 3, 2, 2), dtype=complex)
+    c[0, 0] = [[2.0, 1.0], [0.0, 2.0]]
+    with pytest.raises(ValueError, match="not Hermitian"):
+        MatrixPowerSeries2(c).invert()
+
+
 def test_hermitian_defect_flags_constructed_asymmetry(rng):
     k = random_kernel_series(rng, rank=2, order=3)
     assert k.hermitian_symmetry_defect() < 1e-14
