@@ -5,9 +5,11 @@ Every kernel variant supports two independent views:
 * ``evaluate(z, w)`` — the exact closed-form matrix value K(z, w), no
   truncation anywhere (nilpotent exponentials are finite sums, powers use
   the principal branch, which is safe because Re(1 - z conj(w)) > 0 on the
-  bidisc).  z and w are scalars or arrays of one shape S, and the result
-  has shape S + (n, n), so a whole stencil of points is one call.  Real
-  (float) points are evaluated in real arithmetic;
+  bidisc).  z and w are scalars or arrays that broadcast together to a
+  shape S, and the result has shape S + (n, n), so a whole torus of point
+  pairs is one call: an (n, 1) column of z against a (1, n) row of w gives
+  n x n pairs, with every factor of z alone or of w alone computed on n
+  values.  Real (float) points are evaluated in real arithmetic;
 * ``taylor(order)`` — extraction of the coefficient lattice a[k,l] of
   K(z,w) = sum a[k,l] z^k conj(w)^l as a :class:`MatrixPowerSeries2`.
 
@@ -18,16 +20,18 @@ closed forms do, so kernels themselves are stored untransposed.
 Specs are immutable and validated on construction; everything here is a
 pure function of its arguments and safe to share across threads.  The
 point-independent tables of ``evaluate`` are built on first use and kept on
-the spec (``functools.cached_property``): a jet's derivative coefficients,
-the distinct exponents of z, conj(w) and 1 - z conj(w) with the maps that
-gather their powers into each term; the homogeneous family's nilpotent
-powers, the diagonal of B and the exponents of D(x); a permutation's index
-sigma - 1.  They hold constants of the spec only, never points or results.
-Two threads racing on a fresh spec may both build a table, with equal
-values, and either copy is kept.  Each base is raised once per point to each
-distinct exponent, and the diagonal and permutation factors are applied by
-scaling and gathering; every output is bit-identical to the per-term powers
-and the dense matrix products B and P K P^* written out.
+the spec (``functools.cached_property``): a jet's derivative coefficients
+as stacked (t, i, j) tables, so that all terms are formed and summed over t
+in one pass, and the distinct exponents of z, conj(w) and 1 - z conj(w) with
+the maps that gather their powers into each term; the homogeneous family's
+nilpotent powers, the diagonal of B and the exponents of D(x); a
+permutation's index sigma - 1.  They hold constants of the spec only, never
+points or results.  Two threads racing on a fresh spec may both build a
+table, with equal values, and either copy is kept.  Each base is raised once
+per point to each distinct exponent, and the diagonal and permutation
+factors are applied by scaling and gathering; every output is bit-identical
+to the per-term powers and the dense matrix products B and P K P^* written
+out.
 """
 
 from __future__ import annotations
@@ -156,7 +160,12 @@ class KernelSpec:
         raise NotImplementedError
 
     def evaluate(self, z, w) -> np.ndarray:
-        """K(z, w) for scalars or equal-shape arrays; shape + (n, n), complex."""
+        """K(z, w), complex, for scalars or arrays z and w that broadcast together.
+
+        The result has the broadcast shape of z and w followed by (n, n).
+        For arrays, each value is bit-identical to the one computed at
+        ``np.broadcast_arrays(z, w)``.
+        """
         raise NotImplementedError
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
@@ -223,22 +232,19 @@ class Jet(KernelSpec):
         d^j_wbar gives (beta)_j z^j (1-x)^{-beta-j} with x = z wbar; the z
         derivatives then follow from the Leibniz rule on z^j * (1-x)^{-beta-j}:
         a sum over t <= min(i, j) of C(i, t) j!/(j-t)! z^{j-t} (beta+j)_{i-t}
-        wbar^{i-t} (1-x)^{-beta-j-(i-t)}.  Returns the row (beta)_j; per t,
-        the (n, n) tables of C(i, t) j!/(j-t)! and (beta+j)_{i-t}; and for
-        each base z, wbar and 1 - x, the distinct values of its (t, i, j)
+        wbar^{i-t} (1-x)^{-beta-j-(i-t)}.  Returns the row (beta)_j; the
+        stacked (t, i, j) tables of C(i, t) j!/(j-t)! and (beta+j)_{i-t}; and
+        for each base z, wbar and 1 - x, the distinct values of its (t, i, j)
         exponent table with the map of each table entry into them, so that
         evaluate raises each base once per distinct exponent.  The terms with
         t > min(i, j) carry coefficient 0.
         """
         n, beta = self.k + 1, self.beta
         i, j = np.indices((n, n))
-        terms = tuple(
-            (
-                np.array([[math.comb(a, t) * falling(b, t) for b in range(n)] for a in range(n)]),
-                np.array([[rising(beta + b, a - t) for b in range(n)] for a in range(n)]),
-            )
-            for t in range(n)
-        )
+        coeff = np.array([[[math.comb(a, t) * falling(b, t) for b in range(n)] for a in range(n)]
+                          for t in range(n)])
+        rise = np.array([[[rising(beta + b, a - t) for b in range(n)] for a in range(n)]
+                         for t in range(n)])
         exponents = (
             np.array([np.maximum(j - t, 0) for t in range(n)]),
             np.array([np.maximum(i - t, 0) for t in range(n)]),
@@ -248,20 +254,20 @@ class Jet(KernelSpec):
         for table in exponents:
             distinct, at = np.unique(table, return_inverse=True)
             powers.append((distinct, at.reshape(table.shape)))
-        return np.array([rising(beta, b) for b in range(n)]), terms, tuple(powers)
+        return np.array([rising(beta, b) for b in range(n)]), coeff, rise, tuple(powers)
 
     def evaluate(self, z, w) -> np.ndarray:
         _check_disc(z, w)
+        front, coeff, rise, ((z_exps, z_at), (w_exps, w_at), (x_exps, x_at)) = self._tables
         wbar = np.conj(w)
-        base = np.asarray((1 - z * wbar) ** (-self.alpha))[..., None, None]
-        front, terms, ((z_exps, z_at), (w_exps, w_at), (x_exps, x_at)) = self._tables
-        z = np.asarray(z)[..., None]
-        wbar = np.asarray(wbar)[..., None]
-        zpow, wpow, xpow = z ** z_exps, wbar ** w_exps, (1 - z * wbar) ** x_exps
-        total = 0.0
-        for t, (coeff, rise) in enumerate(terms):
-            zt, wt, xt = zpow[..., z_at[t]], wpow[..., w_at[t]], xpow[..., x_at[t]]
-            total = total + coeff * zt * rise * wt * xt
+        one_x = 1 - z * wbar
+        # scalar points keep the scalar power of the Python or NumPy scalar one_x
+        base = np.asarray(one_x ** (-self.alpha))[..., None, None]
+        z, wbar, one_x = (np.asarray(v)[..., None] for v in (z, wbar, one_x))
+        zpow, wpow, xpow = z ** z_exps, wbar ** w_exps, one_x ** x_exps
+        # the terms over t, summed from 0.0 in order of t
+        terms = coeff * zpow[..., z_at] * rise * wpow[..., w_at] * xpow[..., x_at]
+        total = np.add.reduce(terms, axis=-3, initial=0.0)
         return np.asarray(base * (front * total), dtype=complex)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
@@ -389,13 +395,13 @@ class Homogeneous(KernelSpec):
         _check_disc(z, w)
         m = self.m
         wbar = np.conj(w)
-        x = np.asarray(z * wbar)[..., None, None]
+        one_x = 1 - np.asarray(z * wbar)[..., None, None]
         w_terms, z_terms, d, d_exp = self._tables
         expw = _nilpotent_exp(wbar, w_terms)
         expz = _nilpotent_exp(z, z_terms)
-        D = (1 - x) ** d_exp  # the diagonal of D(x), as a row
+        D = one_x ** d_exp  # the diagonal of D(x), as a row
         # (expw * d) scales column j by d_j: expw B without a matrix product
-        return (1 - x) ** (-2 * self.lam - m) * (np.swapaxes(D, -1, -2) * ((expw * d) @ expz) * D)
+        return one_x ** (-2 * self.lam - m) * (np.swapaxes(D, -1, -2) * ((expw * d) @ expz) * D)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         """The lattice in closed form.

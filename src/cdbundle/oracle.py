@@ -24,9 +24,10 @@ is a Taylor coefficient of H:
     d^a dbar^b h(z0) = a! b! c[a,b],   H(z0 + u, conj z0 + v) = sum c[a,b] u^a v^b
 
 The trapezoidal rule on the torus |u| = |v| = r (Lyness and Moler, SIAM J.
-Numer. Anal. 4, 1967) gives the c[a,b] from one ``evaluate`` call at the
-n x n point pairs (z0 + r q^j, z0 + conj(r q^k)), q = exp(2 pi i / n), off
-the diagonal of K, and a partial DFT that reads only the rows needed.
+Numer. Anal. 4, 1967) gives the c[a,b] from one ``evaluate`` call, on the
+n-point column z0 + r q^j against the n-point row z0 + conj(r q^k),
+q = exp(2 pi i / n), which broadcast to the n x n point pairs off the
+diagonal of K, and a partial DFT that reads only the rows needed.
 The formulas above then act on truncated jets, polynomials in u and v with
 d -> d/du, dbar -> d/dv and products truncated, and are read at u = v = 0;
 nothing is nested.  The curvature reads a 2 x 2 jet (n = 8), the covariant
@@ -92,13 +93,14 @@ def metric_at(spec: KernelSpec, z: complex) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _torus(depth: int, n: int) -> tuple:
-    """The torus of radius 1 as (n, n) arrays of u and conj v, the first `depth`
-    rows of the n-point DFT matrix divided by n, and the exponents a + b."""
+    """The torus of radius 1 as u, an (n, 1) column, and conj v, a (1, n) row, which
+    broadcast to its n x n point pairs; the first `depth` rows of the n-point DFT
+    matrix divided by n; and the exponents a + b."""
     circle = np.exp(2j * np.pi * np.arange(n) / n)
-    u, w = np.meshgrid(circle, np.conj(circle), indexing="ij")
     dft = np.conj(circle[: depth, None] ** np.arange(n)) / n
     power = np.arange(depth)
-    return u, w, dft, np.add.outer(power, power)[..., None, None]
+    exponents = np.add.outer(power, power)[..., None, None]
+    return circle[:, None], np.conj(circle)[None, :], dft, exponents
 
 
 def _jets(spec: KernelSpec, z: complex, depth: int, n: int) -> np.ndarray:
@@ -203,9 +205,10 @@ def oracle_invariants_at_zero(spec: KernelSpec) -> dict:
 
     Returns plain matrices under keys 'curvature', 'd_zbar', 'd_zzbar';
     unlike the series path they carry quadrature error, so no
-    Hermitian-validation gate is applied here.
+    Hermitian-validation gate is applied here.  h(0) is checked by
+    :func:`to_orthonormal_frame`.
     """
-    h0 = metric_at(spec, 0.0)
+    h0 = spec.metric_at(0.0)
     raw = np.stack(_invariants(_jets(spec, 0.0, 3, _N_DERIVATIVES)))
     return dict(zip(("curvature", "d_zbar", "d_zzbar"), to_orthonormal_frame(raw, h0)))
 

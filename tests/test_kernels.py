@@ -342,31 +342,53 @@ def _reference_evaluate(spec, z, w):
     return spec.evaluate(z, w)
 
 
-def test_evaluate_bytes_match_the_dense_formulas():
+def _byte_specs():
+    """The zoo and four specs whose evaluate takes every table and gather path."""
     hom = Homogeneous(lam=1.6, mu=(1.0, 0.8, 1.3, 0.5), m=3)
     nested = Permuted(DirectSum([Jet(1.3, 2.7, 2), Permuted(hom, (4, 1, 3, 2)), BergmanPower(2.2)]),
                       (5, 2, 7, 1, 3, 8, 4, 6))
     # with beta = 0.61, (-beta - 2) - 2 and -beta - 4 differ in the last bit
-    specs = zoo_fixtures() + [("jet_1.3_2.7_2", Jet(1.3, 2.7, 2)),
-                              ("jet_1.3_0.61_2", Jet(1.3, 0.61, 2)),
-                              ("hom_1.6_m3", hom), ("nested", nested)]
-    rng = np.random.default_rng(18)
-    line = 0.7 * np.sqrt(rng.random((2, 9))) * np.exp(2j * np.pi * rng.random((2, 9)))
-    points = [(0.2 - 0.35j, 0.4 + 0.1j), (-0.6j, 0.55), (0j, 0j), (0.3, -0.45), (-0.7, 0.7),
-              (0.0, 0.0), tuple(line), tuple(line.real)]
+    return zoo_fixtures() + [("jet_1.3_2.7_2", Jet(1.3, 2.7, 2)),
+                             ("jet_1.3_0.61_2", Jet(1.3, 0.61, 2)),
+                             ("hom_1.6_m3", hom), ("nested", nested)]
+
+
+def _tori():
+    """The oracle's tori, n = 8 and 12, at three centres, as a column of z and a row of w."""
     for n in (8, 12):
         u, v, _, _ = _torus(3, n)
         for z0 in (0.0, 0.3 - 0.2j, -0.9):
             r = 0.05 * (1 - abs(z0))
-            points.append((z0 + r * u, z0 + r * v))
-    for name, spec in specs:
+            yield z0 + r * u, z0 + r * v
+
+
+def _assert_same_bytes(got, want, label):
+    assert got.shape == want.shape and got.dtype == want.dtype, label
+    assert got.tobytes() == want.tobytes(), label
+    for part in ("real", "imag"):
+        signs = np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
+        assert np.array_equal(*signs), (label, part)
+
+
+def test_evaluate_bytes_match_the_dense_formulas():
+    rng = np.random.default_rng(18)
+    line = 0.7 * np.sqrt(rng.random((2, 9))) * np.exp(2j * np.pi * rng.random((2, 9)))
+    points = [(0.2 - 0.35j, 0.4 + 0.1j), (-0.6j, 0.55), (0j, 0j), (0.3, -0.45), (-0.7, 0.7),
+              (0.0, 0.0), tuple(line), tuple(line.real)]
+    points += [tuple(np.broadcast_arrays(z, w)) for z, w in _tori()]  # n x n arrays of one shape
+    for name, spec in _byte_specs():
         for z, w in points:
-            got, want = spec.evaluate(z, w), _reference_evaluate(spec, z, w)
-            assert got.shape == want.shape and got.dtype == want.dtype, name
-            assert got.tobytes() == want.tobytes(), (name, z, w)
-            for part in ("real", "imag"):
-                signs = np.signbit(getattr(got, part)), np.signbit(getattr(want, part))
-                assert np.array_equal(*signs), (name, part)
+            _assert_same_bytes(spec.evaluate(z, w), _reference_evaluate(spec, z, w), (name, z, w))
+
+
+def test_evaluate_bytes_do_not_depend_on_the_torus_layout():
+    # the oracle hands evaluate a column and a row; every value must equal the one computed
+    # at the n x n broadcast arrays, and the dense formulas at the column and the row
+    for name, spec in _byte_specs():
+        for z, w in _tori():
+            got = spec.evaluate(z, w)
+            _assert_same_bytes(got, spec.evaluate(*np.broadcast_arrays(z, w)), (name, z[0, 0]))
+            _assert_same_bytes(got, _reference_evaluate(spec, z, w), (name, z[0, 0]))
 
 
 def _table_specs():

@@ -11,6 +11,7 @@ from cdbundle import (
     FDConfig,
     Homogeneous,
     Jet,
+    KernelSpec,
     MetricDegeneracyError,
     covd_zbar_fd,
     covd_zzbar_fd,
@@ -39,20 +40,26 @@ class ConstantMetric:
         shape = np.broadcast_shapes(np.shape(z), np.shape(w))
         return np.broadcast_to(self._h.T, shape + self._h.shape).copy()
 
+    metric_at = KernelSpec.metric_at
+
 
 class CountingMetric:
     """Test double that records every point pair (z, w) at which a zoo kernel is
-    evaluated, and the number of pairs of each call."""
+    evaluated, after broadcasting z against w, and the number of pairs and the
+    shapes of z and w of each call."""
 
     def __init__(self, spec):
         self._spec = spec
         self.rank = spec.rank
         self.pairs = []
         self.calls = []
+        self.shapes = []
 
     def evaluate(self, z, w):
-        self.pairs.extend(zip(np.ravel(z).tolist(), np.ravel(w).tolist()))
-        self.calls.append(np.size(z))
+        self.shapes.append((np.shape(z), np.shape(w)))
+        zs, ws = np.broadcast_arrays(z, w)
+        self.pairs.extend(zip(zs.ravel().tolist(), ws.ravel().tolist()))
+        self.calls.append(zs.size)
         return self._spec.evaluate(z, w)
 
 
@@ -135,6 +142,7 @@ def test_off_axis_routes_evaluate_once_per_block(route):
         assert counting.calls == [n * n], name
         assert len(set(counting.pairs)) == n * n, name
         assert sum(z != w for z, w in counting.pairs) >= n * n - n, name
+        assert counting.shapes == [((n, 1), (1, n))], name  # a column of z against a row of w
 
 
 def test_covd_zbar_at_zero():
@@ -189,6 +197,14 @@ def test_to_orthonormal_frame_rejects_bad_metrics():
             to_orthonormal_frame(m, h0)
     with pytest.raises(MetricDegeneracyError):
         to_orthonormal_frame(m, np.diag([1.0, 1e-11]))
+
+
+def test_oracle_at_zero_checks_h0_in_the_frame_step():
+    # h(0) is checked by to_orthonormal_frame, so a non-Hermitian h(0) raises its ValueError
+    with pytest.raises(MetricDegeneracyError):
+        oracle_invariants_at_zero(ConstantMetric(np.diag([1.0, -1.0])))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        oracle_invariants_at_zero(ConstantMetric([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_oracle_imports_nothing_from_the_series_path():
