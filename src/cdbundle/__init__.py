@@ -58,15 +58,13 @@ from .kernels import (
     spec_to_dict,
 )
 from .oracle import (
-    FDConfig,
     covd_zbar_fd,
     covd_zzbar_fd,
     curvature_eigenvalues_fd,
     curvature_fd,
-    metric_at,
     oracle_invariants_at_zero,
     to_orthonormal_frame,
 )
-from .series import DEFAULT_ORDER, MatrixPowerSeries2
+from .series import MatrixPowerSeries2
 
 __version__ = "0.1.0"

@@ -26,7 +26,6 @@ from .errors import (
     DiscDomainError,
     MetricDegeneracyError,
     SingularLeadingTermError,
-    TruncationOrderError,
     WitnessVerificationError,
 )
 from .feasibility import permutation_analysis, rank2_feasibility, solve_triple
@@ -34,12 +33,10 @@ from .invariants import INVARIANT_ORDER, invariants_at_zero
 from .kernels import kernel_taylor, spec_from_dict, spec_to_dict
 from .oracle import (
     ORACLE_CROSS_CHECK_TOL,
-    FDConfig,
     curvature_eigenvalues_fd,
     oracle_invariants_at_zero,
 )
 from .reproduce import SCENARIOS
-from .series import DEFAULT_ORDER
 
 SCHEMA = "cdbundle/1"
 
@@ -111,16 +108,8 @@ def _emit(report: dict) -> None:
     sys.stdout.write(canonical_json(report) + "\n")
 
 
-def _check_order(order: int) -> None:
-    """--order is accepted and echoed in reports; the answers read a fixed order."""
-    if order < INVARIANT_ORDER:
-        raise TruncationOrderError(f"invariants at 0 need series order >= {INVARIANT_ORDER}")
-
-
 def cmd_invariants(args) -> int:
-    _check_order(args.order)
     spec = _load_spec(args.kernel)
-    FDConfig(step=args.fd_step)  # range check only: no route reads the step
     inv = invariants_at_zero(kernel_taylor(spec, INVARIANT_ORDER))
     oracle = oracle_invariants_at_zero(spec)
     residuals = {
@@ -131,7 +120,7 @@ def cmd_invariants(args) -> int:
     report = {
         "schema": SCHEMA,
         "command": "invariants",
-        "inputs": {"kernel": spec_to_dict(spec), "order": args.order, "fd_step": args.fd_step},
+        "inputs": {"kernel": spec_to_dict(spec)},
         "outputs": {
             "curvature": inv.curvature,
             "d_zbar": inv.d_zbar,
@@ -164,18 +153,13 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    _check_order(args.order)
     left = _load_spec(args.left)
     right = _load_spec(args.right)
     report = full_report(left, right)
     doc = {
         "schema": SCHEMA,
         "command": "equiv",
-        "inputs": {
-            "left": spec_to_dict(left),
-            "right": spec_to_dict(right),
-            "order": args.order,
-        },
+        "inputs": {"left": spec_to_dict(left), "right": spec_to_dict(right)},
         "verdict": report.verdict.value,
         "certificate": report.certificate,
         "witness": report.witness,
@@ -202,6 +186,13 @@ def _parse_tuple(text: str, n: int) -> tuple:
     return values
 
 
+def _params(params) -> dict | None:
+    """(lambda, mu1^2[, mu2^2]) of a feasibility answer as a report object; None stays None."""
+    if not params:
+        return None
+    return dict(zip(("lambda", "mu1_sq", "mu2_sq"), params))
+
+
 def cmd_feasible(args) -> int:
     if args.rank2:
         if args.pair is None:
@@ -213,7 +204,7 @@ def cmd_feasible(args) -> int:
             "command": "feasible",
             "inputs": {"pair": [d1, d2], "rank2": True},
             "feasible": sol is not None,
-            "params": {"lambda": sol[0], "mu1_sq": sol[1]} if sol else None,
+            "params": _params(sol),
         }
         _emit(doc)
         return EXIT_OK
@@ -228,13 +219,7 @@ def cmd_feasible(args) -> int:
         "abc": list(res.abc),
         "checks": res.checks,
         "feasible": res.feasible,
-        "params": {
-            "lambda": res.params[0],
-            "mu1_sq": res.params[1],
-            "mu2_sq": res.params[2],
-        }
-        if res.params
-        else None,
+        "params": _params(res.params),
     }
     if args.permutations:
         analysis = permutation_analysis(delta)
@@ -242,13 +227,7 @@ def cmd_feasible(args) -> int:
             "".join(map(str, s)): {
                 "ordered": list(r.delta),
                 "feasible": r.feasible,
-                "params": {
-                    "lambda": r.params[0],
-                    "mu1_sq": r.params[1],
-                    "mu2_sq": r.params[2],
-                }
-                if r.params
-                else None,
+                "params": _params(r.params),
             }
             for s, r in analysis.results.items()
         }
@@ -264,7 +243,6 @@ def cmd_field(args) -> int:
     spec = _load_spec(args.kernel)
     if not 0.0 < args.radius < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {args.radius}")
-    FDConfig(step=args.fd_step)  # range check only: no route reads the step
     axis = np.linspace(-args.radius, args.radius, args.grid)
     lines = ["x,y," + ",".join(f"eig{i + 1}" for i in range(spec.rank))]
     for y in axis:
@@ -306,15 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="curvature invariants at 0 with oracle cross-check")
     p.add_argument("--kernel", required=True, help="kernel spec JSON file")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--fd-step", type=float, default=1e-4)
     p.add_argument("--json", action="store_true", help="emit the canonical JSON report")
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("equiv", help="decide equivalence of two kernels")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("feasible", help="inverse eigenvalue feasibility")
@@ -328,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", required=True)
     p.add_argument("--grid", type=int, default=11)
     p.add_argument("--radius", type=float, default=0.5)
-    p.add_argument("--fd-step", type=float, default=1e-4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_field)
 

@@ -10,8 +10,7 @@ class SingularLeadingTermError(ArithmeticError):
 
 
 class DiscDomainError(ValueError):
-    """Evaluation point outside the open unit disc (or too close to the
-    boundary for the requested finite-difference stencil)."""
+    """Evaluation point outside the open unit disc."""
 
 
 class MetricDegeneracyError(ArithmeticError):

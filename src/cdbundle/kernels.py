@@ -425,9 +425,9 @@ class Homogeneous(KernelSpec):
 
 
 def _nilpotent_terms(a: np.ndarray) -> list:
-    """a^r / r! for r = 1 .. n-1 of an n x n nilpotent matrix a (a^n = 0)."""
+    """a^r / r! for r = 0 .. n-1 of an n x n nilpotent matrix a (a^n = 0)."""
     term = np.eye(a.shape[0], dtype=complex)
-    terms = []
+    terms = [term]
     for r in range(1, a.shape[0]):
         term = term @ a / r
         terms.append(term)
@@ -440,9 +440,9 @@ def _nilpotent_exp(t, terms: list) -> np.ndarray:
     t is a scalar or an array of shape S; the result has shape S + (n, n).
     """
     t = np.asarray(t)[..., None, None]
-    out = np.eye(len(terms) + 1, dtype=complex)
-    power = np.ones_like(t)
-    for term in terms:
+    out = terms[0] + t * terms[1]
+    power = t
+    for term in terms[2:]:
         power = power * t
         out = out + power * term
     return out
@@ -469,22 +469,22 @@ class Permuted(KernelSpec):
         return self.inner.rank
 
     @cached_property
-    def _p(self) -> np.ndarray:
-        return permutation_matrix(self.sigma)
-
-    @cached_property
     def _index(self) -> np.ndarray:
         """sigma - 1: entry (i, j) of P K P^* is entry (sigma(i), sigma(j)) of K."""
         return np.array(self.sigma) - 1
 
-    def evaluate(self, z, w) -> np.ndarray:
-        # rows, then columns, gathered into a C-contiguous array; adding 0.0
-        # turns -0.0 into +0.0, which makes the result bit-identical to P K P^*
+    def _gather(self, k: np.ndarray) -> np.ndarray:
+        """P k P^* over the trailing two axes of k: rows, then columns, gathered into a
+        C-contiguous array; adding 0.0 turns -0.0 into +0.0, which makes the result
+        bit-identical to the dense product."""
         idx = self._index
-        return np.take(np.take(self.inner.evaluate(z, w), idx, axis=-2), idx, axis=-1) + 0.0
+        return np.take(np.take(k, idx, axis=-2), idx, axis=-1) + 0.0
+
+    def evaluate(self, z, w) -> np.ndarray:
+        return self._gather(self.inner.evaluate(z, w))
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
-        return self.inner.taylor(order).conjugate_by(self._p)
+        return MatrixPowerSeries2(self._gather(self.inner.taylor(order).coeffs))
 
 
 # -- operation-level functions ------------------------------------------

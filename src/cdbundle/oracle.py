@@ -50,7 +50,6 @@ fixture set, 1.4e-13 / 3.0e-13 / 7.7e-11 on the 32-spec held-out corpus and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,30 +64,6 @@ _RADIUS = 0.05
 # torus points per circle for the curvature (2 x 2 jet) and the derivatives (3 x 3 jet)
 _N_CURVATURE = 8
 _N_DERIVATIVES = 12
-
-
-@dataclass(frozen=True)
-class FDConfig:
-    """The CLI's ``--fd-step``: range-checked and echoed, read by no route."""
-
-    step: float = 1e-4
-
-    def __post_init__(self):
-        if not 1e-8 < self.step < 1e-2:
-            raise ValueError(f"step must lie in (1e-8, 1e-2), got {self.step}")
-
-
-def metric_at(spec: KernelSpec, z: complex) -> np.ndarray:
-    """h(z) = K(z, z)^t, checked Hermitian positive definite."""
-    if abs(z) >= 1.0:
-        raise DiscDomainError(f"|z| must be < 1, got {abs(z)}")
-    h = spec.metric_at(z)
-    hs = 0.5 * (h + h.conj().T)
-    if np.abs(h - hs).max() > 1e-10 * max(1.0, np.abs(h).max()):
-        raise MetricDegeneracyError("metric evaluation is not Hermitian")
-    if np.linalg.eigvalsh(hs).min() < 1e-12:
-        raise MetricDegeneracyError("metric not positive definite at the point")
-    return h
 
 
 @lru_cache(maxsize=None)

@@ -148,11 +148,6 @@ class MatrixPowerSeries2:
                 out[k, l] = _cauchy_term(a, b, k, l)
         return MatrixPowerSeries2(out)
 
-    def conjugate_by(self, g: np.ndarray) -> "MatrixPowerSeries2":
-        """Coefficientwise g . a[k,l] . g^*."""
-        g = require_finite(g, "conjugation factor")
-        return MatrixPowerSeries2(np.einsum("ij,kljm,nm->klin", g, self.coeffs, g.conj()))
-
     def invert(self) -> "MatrixPowerSeries2":
         """Series inverse B with B A = A B = identity up to order N.
 

@@ -17,7 +17,6 @@ from cdbundle import (
     full_report,
     invariants_at_zero,
     kernel_taylor,
-    metric_at,
     oracle_invariants_at_zero,
     permutation_analysis,
     rank2_feasibility,
@@ -196,7 +195,7 @@ def test_criterion_05_homogeneous_closed_forms(rng):
             float(np.abs(closed.curvature - series.curvature).max()),
             float(np.abs(closed.d_zbar - series.d_zbar).max()),
         )
-        h0 = metric_at(spec, 0.0)
+        h0 = spec.metric_at(0.0)
         worst_oracle = max(
             worst_oracle,
             float(np.abs(to_orthonormal_frame(curvature_fd(spec, 0.0), h0)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import sys
@@ -222,6 +223,17 @@ def test_permuted_is_exact_conjugation():
     z, w = 0.2 + 0.1j, -0.3j
     direct = p @ inner.evaluate(z, w) @ p.conj().T
     assert np.abs(spec.evaluate(z, w) - direct).max() == 0.0
+    # the lattice too, byte for byte against the dense coefficientwise P a[k,l] P^*
+    inners = [inner, Jet(alpha=1.0, beta=2.0, k=2), Homogeneous(lam=1.3, mu=(1.0, 0.7), m=1),
+              DirectSum([BergmanPower(1.0), Jet(alpha=1.0, beta=5.0, k=1)]),
+              Homogeneous(lam=3.0, mu=(1.0, 0.5, 2.0, 1.5), m=3)]
+    for inner in inners:
+        for sigma in itertools.permutations(range(1, inner.rank + 1)):
+            p = permutation_matrix(sigma)
+            for N in (2, 4, 6):
+                dense = np.einsum("ij,kljm,nm->klin", p, inner.taylor(N).coeffs, p.conj())
+                got = Permuted(inner=inner, sigma=sigma).taylor(N).coeffs
+                assert got.tobytes() == dense.tobytes(), (inner, sigma, N)
 
 
 # empirical regression constants for the truncation-tail property

@@ -8,7 +8,6 @@ from cdbundle import (
     BergmanPower,
     DirectSum,
     DiscDomainError,
-    FDConfig,
     Homogeneous,
     Jet,
     KernelSpec,
@@ -19,7 +18,6 @@ from cdbundle import (
     curvature_fd,
     invariants_at_zero,
     kernel_taylor,
-    metric_at,
     oracle_invariants_at_zero,
     to_orthonormal_frame,
 )
@@ -75,12 +73,12 @@ def jet1_raw_curvature(alpha, beta, z):
 
 
 def test_metric_values():
-    assert np.allclose(metric_at(Jet(alpha=1.0, beta=2.0, k=1), 0.0), np.diag([1.0, 2.0]))
+    assert np.allclose(Jet(alpha=1.0, beta=2.0, k=1).metric_at(0.0), np.diag([1.0, 2.0]))
     z = 0.3 + 0.2j
-    got = metric_at(BergmanPower(2.0), z)
+    got = BergmanPower(2.0).metric_at(z)
     assert got[0, 0] == pytest.approx((1 - abs(z) ** 2) ** (-2.0), rel=1e-14)
     hom = Homogeneous(lam=2.0, mu=(1.0, 1.0, 1.0), m=2)
-    assert np.abs(metric_at(hom, 0.0) - hom.triangular.B).max() < 1e-14
+    assert np.abs(hom.metric_at(0.0) - hom.triangular.B).max() < 1e-14
 
 
 def test_curvature_bergman_field():
@@ -225,7 +223,7 @@ def test_oracle_imports_nothing_from_the_series_path():
 def test_to_orthonormal_frame_matches_series_for_jet():
     spec = Jet(alpha=1.0, beta=2.0, k=1)
     inv = invariants_at_zero(kernel_taylor(spec, 4))
-    h0 = metric_at(spec, 0.0)
+    h0 = spec.metric_at(0.0)
     raw = curvature_fd(spec, 0.0)
     assert np.abs(to_orthonormal_frame(raw, h0) - inv.curvature).max() < 1e-6
     raw_zb = covd_zbar_fd(spec, 0.0)
@@ -303,10 +301,8 @@ def test_homogeneous_eigenvalue_scaling_grid():
             assert np.abs(got - ref).max() / ref.max() < 1e-5
 
 
-def test_fd_config_validation_and_domain():
-    with pytest.raises(ValueError):
-        FDConfig(step=1.0)
+def test_points_outside_the_disc_are_rejected():
     with pytest.raises(DiscDomainError):
         curvature_fd(BergmanPower(1.0), 1.0)
     with pytest.raises(DiscDomainError):
-        metric_at(BergmanPower(1.0), 1.2)
+        BergmanPower(1.0).metric_at(1.2)
