@@ -26,6 +26,7 @@ diagonal order is frame data — and multiset questions are answered only by
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -96,7 +97,7 @@ def abc_to_params(a: float, b: float, c: float) -> Optional[tuple]:
 def _require_finite(derived: dict) -> None:
     """Raise DegenerateInputError naming the first non-finite derived quantity."""
     for name, value in derived.items():
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DegenerateInputError(f"derived quantity {name} = {value} is not finite")
 
 

@@ -70,18 +70,22 @@ class PointInvariants:
         return np.linalg.eigvalsh(0.5 * (self.curvature + self.curvature.conj().T))
 
 
-def _normalized_cells(K: MatrixPowerSeries2, cells) -> np.ndarray:
-    """The cells (k, l) of the normalized lattice of K, zero elsewhere.
+def _normalized_cells(a: np.ndarray, cells) -> np.ndarray:
+    """The cells (k, l) of the normalized lattice with coefficients a, stacked in order.
 
     K~ = a00^{1/2} L K R a00^{1/2} with L = K(z,0)^{-1}, a series in z
-    alone, and R = K(0,w)^{-1}, a series in conj(w) alone.  As R has one
-    row, cell (k, l) of (L K) R reads only row k of L K, columns <= l, and
-    that row reads L down to row k; only these coefficients are computed.
-    Each is the same Cauchy term, on arrays of the same shape, as in the
-    full composition, and the terms left out multiply zero blocks of R, so
-    every cell is bit-identical to the full lattice's.
+    alone, and R = K(0,w)^{-1}, a series in conj(w) alone.  L is one column
+    and R one row, each found coefficient by coefficient from the
+    one-variable recursion.  So row k of L K is one sum over p of
+    L[p, 0] a[k-p, l], for all its columns l at once, and cell (k, l) of
+    (L K) R is the sum over q of (L K)[k, q] R[0, l-q]; every requested
+    cell is computed in one sum against R reversed and padded with zero
+    blocks, and the a00^{1/2} sandwich acts on the requested cells only.
+    The full composition adds the same nonzero terms in the same order,
+    next to products with zero blocks; a sum started at +0 is unchanged by
+    the ±0 those contribute, so every cell is bit-identical to the full
+    lattice's.
     """
-    a = K.coeffs
     a00 = assert_hermitian(a[0, 0], what="constant kernel coefficient")
     vals, vecs = np.linalg.eigh(a00)  # the one factorization of a00
     half = positive_sqrt(vals, vecs)
@@ -89,18 +93,22 @@ def _normalized_cells(K: MatrixPowerSeries2, cells) -> np.ndarray:
     width = {}  # row k of L K -> its highest column read
     for k, l in cells:
         width[k] = max(width.get(k, 0), l)
-    left, right, lk, out = (np.zeros_like(a) for _ in range(4))
+    top = max(width.values())
+    # L and R as full lattices, zero off their column and row: _cauchy_term slices them like a
+    left, right, lk = (np.zeros_like(a) for _ in range(3))
     left[0, 0] = right[0, 0] = a00_inv
     for k in range(1, max(width) + 1):
         left[k, 0] = -_cauchy_term(left, a, k, 0) @ a00_inv
-    for l in range(1, max(width.values()) + 1):
+    for l in range(1, top + 1):
         right[0, l] = -_cauchy_term(right, a, 0, l) @ a00_inv
-    for k, top in width.items():
-        for l in range(top + 1):
-            lk[k, l] = _cauchy_term(left, a, k, l)
-    for k, l in cells:
-        out[k, l] = _cauchy_term(lk, right, k, l)
-    return np.einsum("ij,kljm,mn->klin", half, out, half)
+    for k, w in width.items():
+        lk[k, : w + 1] = np.einsum("pij,pljm->lim", left[: k + 1, 0], a[k::-1, : w + 1])
+    rows, cols = np.array(cells).T
+    # entry (c, q) is R[0, l_c - q], and the zero block at index -1 when q > l_c
+    padded = np.concatenate((right[0, : top + 1], np.zeros_like(right[0, :1])))
+    tail = padded[np.maximum(cols[:, None] - np.arange(top + 1), -1)]
+    out = np.einsum("cqij,cqjm->cim", lk[rows, : top + 1], tail)
+    return np.einsum("ij,cjm,mn->cin", half, out, half)
 
 
 def normalize(K: MatrixPowerSeries2) -> MatrixPowerSeries2:
@@ -112,8 +120,9 @@ def normalize(K: MatrixPowerSeries2) -> MatrixPowerSeries2:
     Raises MetricDegeneracyError when the constant term is not positive
     definite and SingularLeadingTermError when it is numerically singular.
     """
-    N = K.order
-    return MatrixPowerSeries2(_normalized_cells(K, list(np.ndindex(N + 1, N + 1))))
+    N, n = K.order, K.rank
+    cells = _normalized_cells(K.coeffs, list(np.ndindex(N + 1, N + 1)))
+    return MatrixPowerSeries2(cells.reshape(N + 1, N + 1, n, n))
 
 
 def invariants_at_zero(K: MatrixPowerSeries2) -> PointInvariants:
@@ -125,8 +134,8 @@ def invariants_at_zero(K: MatrixPowerSeries2) -> PointInvariants:
     """
     if K.order < INVARIANT_ORDER:
         raise TruncationOrderError(f"invariants at 0 need series order >= {INVARIANT_ORDER}")
-    norm = _normalized_cells(K.truncate(INVARIANT_ORDER), ((1, 1), (1, 2), (2, 2)))
-    a11, a12, a22 = norm[1, 1], norm[1, 2], norm[2, 2]
+    t = INVARIANT_ORDER
+    a11, a12, a22 = _normalized_cells(K.coeffs[: t + 1, : t + 1], ((1, 1), (1, 2), (2, 2)))
     return PointInvariants(
         point=0.0,
         curvature=a11.T,
@@ -143,8 +152,11 @@ def covd_zbar_n_at_zero(K: MatrixPowerSeries2, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    norm = _normalized_cells(K.truncate(n + 1), ((1, n + 1),))
-    return math.factorial(n + 1) * norm[1, n + 1].T
+    t = n + 1
+    if K.order < t:
+        raise TruncationOrderError(f"series order {K.order} is below the required {t}")
+    (cell,) = _normalized_cells(K.coeffs[: t + 1, : t + 1], ((1, t),))
+    return math.factorial(t) * cell.T
 
 
 # -- closed forms for the homogeneous family -------------------------------

@@ -284,6 +284,7 @@ class Jet(KernelSpec):
         top = N + self.k + 1
         A = [rising(self.alpha, r) / math.factorial(r) for r in range(top + 1)]
         B = [rising(self.beta, r) / math.factorial(r) for r in range(top + 1)]
+        fall = [[falling(k2, i) for i in range(n)] for k2 in range(top + 1)]
         c = np.zeros((N + 1, N + 1, n, n), dtype=complex)
         for i in range(n):
             for j in range(n):
@@ -294,7 +295,7 @@ class Jet(KernelSpec):
                     K = p + i
                     acc = 0.0
                     for k2 in range(max(i, j), K + 1):
-                        acc += A[K - k2] * B[k2] * falling(k2, i) * falling(k2, j)
+                        acc += A[K - k2] * B[k2] * fall[k2][i] * fall[k2][j]
                     c[p, q, i, j] = acc
         return MatrixPowerSeries2(c)
 
@@ -415,7 +416,10 @@ class Homogeneous(KernelSpec):
         """
         m, N = self.m, order
         S = shift_matrix(m)
-        P = np.array([np.linalg.matrix_power(S, r) / math.factorial(r) for r in range(N + 1)])
+        powers = [np.eye(m + 1, dtype=complex)]  # S^r by successive products, exact integers
+        for _ in range(N):
+            powers.append(powers[-1] @ S)
+        P = np.array([power / math.factorial(r) for r, power in enumerate(powers)])
         F = np.einsum("lab,b,kdb->klad", P, self.triangular.d, P.conj())
         a = 2 * self.lam - m + np.add.outer(np.arange(m + 1), np.arange(m + 1))
         out = np.zeros_like(F)

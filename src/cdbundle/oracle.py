@@ -83,13 +83,20 @@ def _jets(spec: KernelSpec, z: complex, depth: int, n: int) -> np.ndarray:
 
     Shape (depth, depth, rank, rank).  One ``evaluate`` call on the n x n
     torus |u| = |v| = r; the einsum output order ``yx`` transposes K into h.
+    Raises OverflowError when the jet is not finite, as when the kernel
+    overflows on the torus.
     """
     if abs(z) >= 1.0:
         raise DiscDomainError(f"|z| must be < 1, got {abs(z)}")
     r = _RADIUS * (1.0 - abs(z))
     u, w, dft, power = _torus(depth, n)
     c = np.einsum("aj,jkxy,bk->abyx", dft, spec.evaluate(z + r * u, z + r * w), dft)
-    return c / r ** power
+    c = c / r ** power
+    finite = np.isfinite(c)
+    if not finite.all():
+        raise OverflowError(f"kernel value near z = {z} is not finite "
+                            f"(jet coefficient {c[~finite][0]})")
+    return c
 
 
 @lru_cache(maxsize=None)

@@ -403,6 +403,47 @@ def test_evaluate_bytes_do_not_depend_on_the_torus_layout():
             _assert_same_bytes(got, _reference_evaluate(spec, z, w), (name, z[0, 0]))
 
 
+def _reference_jet_taylor(spec, order):
+    """Jet.taylor with falling() called in the innermost loop."""
+    n, N, top = spec.k + 1, order, order + spec.k + 1
+    A = [rising(spec.alpha, r) / math.factorial(r) for r in range(top + 1)]
+    B = [rising(spec.beta, r) / math.factorial(r) for r in range(top + 1)]
+    c = np.zeros((N + 1, N + 1, n, n), dtype=complex)
+    for i, j, p in itertools.product(range(n), range(n), range(N + 1)):
+        if 0 <= p + i - j <= N:
+            acc = 0.0
+            for k2 in range(max(i, j), p + i + 1):
+                acc += A[p + i - k2] * B[k2] * falling(k2, i) * falling(k2, j)
+            c[p, p + i - j, i, j] = acc
+    return c
+
+
+def _reference_homogeneous_taylor(spec, order):
+    """Homogeneous.taylor with the shift powers from np.linalg.matrix_power."""
+    m, N = spec.m, order
+    S = shift_matrix(m)
+    P = np.array([np.linalg.matrix_power(S, r) / math.factorial(r) for r in range(N + 1)])
+    F = np.einsum("lab,b,kdb->klad", P, spec.triangular.d, P.conj())
+    a = 2 * spec.lam - m + np.add.outer(np.arange(m + 1), np.arange(m + 1))
+    out = np.zeros_like(F)
+    for t in range(N + 1):
+        out[t:, t:] += rising(a, t) / math.factorial(t) * F[: N + 1 - t, : N + 1 - t]
+    return out
+
+
+def test_taylor_bytes_match_the_reference_loops():
+    rng = np.random.default_rng(21)
+    for order, _ in itertools.product(range(9), range(3)):
+        for k in (1, 2):
+            spec = Jet(*rng.uniform(0.1, 12.0, 2), k)
+            _assert_same_bytes(spec.taylor(order).coeffs, _reference_jet_taylor(spec, order),
+                               (spec, order))
+        for m in (1, 2, 3):
+            spec = Homogeneous(m / 2 + rng.uniform(0.05, 10.0), (1.0, *rng.uniform(0.2, 3.0, m)), m)
+            _assert_same_bytes(spec.taylor(order).coeffs,
+                               _reference_homogeneous_taylor(spec, order), (spec, order))
+
+
 def _table_specs():
     """Freshly built specs whose evaluate keeps point-independent tables on the spec."""
     hom2 = Homogeneous(lam=2.0, mu=(1.0, 1.0, 1.0), m=2)
