@@ -17,8 +17,13 @@ Conventions
   supported workloads, so sparsity would buy nothing.
 
 All values are immutable after construction (the coefficient array is set
-read-only), every operation is a pure function, and nothing here mutates
-shared state, so instances are safe to use concurrently.
+read-only) and every operation is a pure function, so instances are safe
+to use concurrently.  The one mutable part of an instance is its slot for
+the lattice's normalization factors (cdbundle.invariants): empty until
+the first query of the normalized lattice (``normalize`` or an invariant
+at 0), then holding factors that grow under their own lock and never
+change a value once found.  They live and die with the instance and are
+never shared between instances.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ def positive_sqrt(vals: np.ndarray, vecs: np.ndarray, floor: float = 1e-10) -> n
 class MatrixPowerSeries2:
     """Immutable truncated series sum a[k,l] z^k conj(w)^l, 0 <= k,l <= N."""
 
-    __slots__ = ("coeffs", "rank", "order")
+    __slots__ = ("coeffs", "rank", "order", "_normal")
 
     def __init__(self, coeffs: np.ndarray):
         arr = require_finite(coeffs, "series coefficients")
@@ -109,6 +114,7 @@ class MatrixPowerSeries2:
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "rank", arr.shape[2])
         object.__setattr__(self, "order", arr.shape[0] - 1)
+        object.__setattr__(self, "_normal", None)  # the lattice's normalization factors
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MatrixPowerSeries2 is immutable")

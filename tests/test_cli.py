@@ -413,20 +413,33 @@ def test_invariants_jet_residuals_against_the_absolute_tolerance(tmp_path, capsy
         assert json.loads(out)["outputs"]["oracle_residuals"]["d_zzbar"] < 1e-8, (alpha, beta)
 
 
-def test_field_overflow_is_one_numeric_error(tmp_path):
-    # (1 - |z|^2)^-1000 overflows at |z| = 0.9: one message, no numpy warning, no CSV
-    path = write(tmp_path, "b1000.json", {"type": "bergman", "lambda": 1000})
-    out_csv = tmp_path / "field.csv"
-    argv = ["field", "--kernel", path, "--radius", "0.9", "--out", str(out_csv)]
+def run_process(argv):
     env = {**os.environ, "PYTHONPATH": str(Path(cdbundle.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-m", "cdbundle", *argv], capture_output=True,
+    return subprocess.run([sys.executable, "-m", "cdbundle", *argv], capture_output=True,
                           text=True, env=env, timeout=120)
+
+
+def assert_one_numeric_error(proc):
     assert proc.returncode == EXIT_NUMERIC
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric error: ") and "not finite" in lines[0]
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_field_overflow_is_one_numeric_error(tmp_path):
+    # (1 - |z|^2)^-1000 overflows at |z| = 0.9: one message, no numpy warning, no CSV
+    path = write(tmp_path, "b1000.json", {"type": "bergman", "lambda": 1000})
+    out_csv = tmp_path / "field.csv"
+    assert_one_numeric_error(
+        run_process(["field", "--kernel", path, "--radius", "0.9", "--out", str(out_csv)]))
     assert not out_csv.exists()
+
+
+def test_invariants_overflow_is_one_numeric_error(tmp_path):
+    # (1 - z conj w)^-1e6 overflows on the oracle's torus at 0
+    path = write(tmp_path, "b1e6.json", {"type": "bergman", "lambda": 1e6})
+    assert_one_numeric_error(run_process(["invariants", "--kernel", path]))
 
 
 def test_field_near_the_boundary(tmp_path, capsys):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -257,19 +259,75 @@ def test_restricted_cells_match_full_normalize(rng):
         norm = normalize(K)
         assert _same_bits(norm.coeffs, _composed_normalize(K)), (name, order)
         a11, a12, a22 = norm.coeff(1, 1), norm.coeff(1, 2), norm.coeff(2, 2)
-        inv = invariants_at_zero(K)
-        assert _same_bits(inv.curvature, a11.T), (name, order)
-        assert _same_bits(inv.d_zbar, 2.0 * a12.T), (name, order)
-        assert _same_bits(inv.d_zzbar, (2.0 * (2.0 * a22 - a11 @ a11)).T), (name, order)
+        # K's factors are complete after normalize; each fresh lattice grows its own
+        for lattice in (K, MatrixPowerSeries2(K.coeffs)):
+            inv = invariants_at_zero(lattice)
+            assert _same_bits(inv.curvature, a11.T), (name, order)
+            assert _same_bits(inv.d_zbar, 2.0 * a12.T), (name, order)
+            assert _same_bits(inv.d_zzbar, (2.0 * (2.0 * a22 - a11 @ a11)).T), (name, order)
+        covd = {}
         for n in range(1, order):
             want = math.factorial(n + 1) * norm.coeff(1, n + 1).T
             assert _same_bits(covd_zbar_n_at_zero(K, n), want), (name, order, n)
+            covd[n] = covd_zbar_n_at_zero(MatrixPowerSeries2(K.coeffs), n)
+            assert _same_bits(covd[n], want), (name, order, n)
+        # one fresh lattice asked in another order gives the fresh lattices' bits
+        shared = MatrixPowerSeries2(K.coeffs)
+        for n in range(order - 1, 0, -1):
+            assert _same_bits(covd_zbar_n_at_zero(shared, n), covd[n]), (name, order, n)
+        again = invariants_at_zero(shared)
+        for part in ("curvature", "d_zbar", "d_zzbar"):
+            assert _same_bits(getattr(again, part), getattr(inv, part)), (name, order, part)
+        assert _same_bits(normalize(shared).coeffs, norm.coeffs), (name, order)
+
+
+def test_one_lattice_under_threads():
+    queries = [invariants_at_zero, normalize] + [
+        lambda K, n=n: covd_zbar_n_at_zero(K, n) for n in (1, 2, 3, 4, 5)]
+
+    def parts(result):
+        if isinstance(result, PointInvariants):
+            return [result.curvature, result.d_zbar, result.d_zzbar]
+        return [result.coeffs if isinstance(result, MatrixPowerSeries2) else result]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name, spec in zoo_fixtures():
+            K = kernel_taylor(spec, 6)
+            serial = [parts(query(MatrixPowerSeries2(K.coeffs))) for query in queries]
+            # a lost update shows in some rounds only, so each spec races on five lattices
+            for _ in range(5):
+                lattice = MatrixPowerSeries2(K.coeffs)
+                barrier = threading.Barrier(4)
+                results = [None] * 4
+
+                def work(slot, lattice=lattice, barrier=barrier, results=results):
+                    # each thread asks for the cells in its own order, from its own first query
+                    turn = queries[slot:] + queries[:slot]
+                    barrier.wait(timeout=10)
+                    got = [parts(query(lattice)) for query in turn]
+                    results[slot] = got[len(queries) - slot:] + got[: len(queries) - slot]
+
+                threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                for got in results:
+                    assert got is not None, name
+                    for want_parts, got_parts in zip(serial, got):
+                        for want, have in zip(want_parts, got_parts):
+                            assert _same_bits(have, want), name
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_cauchy_term_counts(monkeypatch):
     # deterministic work counts of the series path: one count per coefficient of
-    # the L column and the R row; the rows of L K and the cells of (L K) R are
-    # batched sums outside _cauchy_term
+    # the L column and the R row, each found once per lattice; the rows of L K and
+    # the cells of (L K) R are batched sums outside _cauchy_term
     calls = []
     cauchy_term = series._cauchy_term
 
@@ -288,9 +346,17 @@ def test_cauchy_term_counts(monkeypatch):
     hom = dict(zoo_fixtures())["hom_m2"]
     assert count(kernel_taylor, hom, 6) == 0  # closed form, no series products
     lattice = kernel_taylor(hom, 6)
-    assert count(invariants_at_zero, lattice) == 2 + 2
-    assert [count(covd_zbar_n_at_zero, lattice, n) for n in (1, 2, 3, 4)] == [3, 4, 5, 6]
+
+    def fresh():
+        return MatrixPowerSeries2(lattice.coeffs)
+
+    assert count(invariants_at_zero, fresh()) == 2 + 2
+    assert [count(covd_zbar_n_at_zero, fresh(), n) for n in (1, 2, 3, 4)] == [3, 4, 5, 6]
     assert count(normalize, lattice.truncate(2)) == 2 + 2
+    # on one lattice, each query finds only the R coefficients no earlier query found
+    shared = fresh()
+    assert count(invariants_at_zero, shared) == 2 + 2
+    assert [count(covd_zbar_n_at_zero, shared, n) for n in (1, 2, 3, 4)] == [0, 1, 1, 1]
 
 
 def test_homogeneous_closed_m2_reference_values():
@@ -352,9 +418,11 @@ def test_normalize_rejects_degenerate_constant_term():
     with pytest.raises(MetricDegeneracyError):
         normalize(MatrixPowerSeries2(c))
     c[0, 0] = np.diag([1e6, 1e-9])  # positive definite, condition number 1e15
+    shared = MatrixPowerSeries2(c)  # a query that fails leaves nothing for the next one
     for route in (normalize, invariants_at_zero, lambda K: covd_zbar_n_at_zero(K, 1)):
-        with pytest.raises(SingularLeadingTermError):
-            route(MatrixPowerSeries2(c))
+        for lattice in (MatrixPowerSeries2(c), shared):
+            with pytest.raises(SingularLeadingTermError):
+                route(lattice)
 
 
 def test_point_invariants_validation():
