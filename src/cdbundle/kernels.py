@@ -192,8 +192,9 @@ class BergmanPower(KernelSpec):
 
     def evaluate(self, z, w) -> np.ndarray:
         _check_disc(z, w)
-        value = (1 - z * np.conj(w)) ** (-self.lam)
-        return np.asarray(value, dtype=complex)[..., None, None]
+        # scalars as arrays too: a scalar power can differ from the array power in the last bit
+        z, w = np.asarray(z)[..., None, None], np.asarray(w)[..., None, None]
+        return np.asarray((1 - z * np.conj(w)) ** (-self.lam), dtype=complex)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         c = np.zeros((order + 1, order + 1, 1, 1), dtype=complex)
@@ -259,11 +260,10 @@ class Jet(KernelSpec):
     def evaluate(self, z, w) -> np.ndarray:
         _check_disc(z, w)
         front, coeff, rise, ((z_exps, z_at), (w_exps, w_at), (x_exps, x_at)) = self._tables
-        wbar = np.conj(w)
+        # scalars as arrays too: a scalar power can differ from the array power in the last bit
+        z, wbar = np.asarray(z)[..., None], np.conj(np.asarray(w))[..., None]
         one_x = 1 - z * wbar
-        # scalar points keep the scalar power of the Python or NumPy scalar one_x
-        base = np.asarray(one_x ** (-self.alpha))[..., None, None]
-        z, wbar, one_x = (np.asarray(v)[..., None] for v in (z, wbar, one_x))
+        base = (one_x ** (-self.alpha))[..., None]
         zpow, wpow, xpow = z ** z_exps, wbar ** w_exps, one_x ** x_exps
         # the terms over t, summed from 0.0 in order of t
         terms = coeff * zpow[..., z_at] * rise * wpow[..., w_at] * xpow[..., x_at]

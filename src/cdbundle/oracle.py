@@ -27,11 +27,11 @@ The trapezoidal rule on the torus |u| = |v| = r (Lyness and Moler, SIAM J.
 Numer. Anal. 4, 1967) gives the c[a,b] from one ``evaluate`` call, on the
 n-point column z0 + r q^j against the n-point row z0 + conj(r q^k),
 q = exp(2 pi i / n), which broadcast to the n x n point pairs off the
-diagonal of K, and a partial DFT that reads only the rows needed.
+diagonal of K, and two products with the first rows of the DFT matrix.
 The formulas above then act on truncated jets, polynomials in u and v with
-d -> d/du, dbar -> d/dv and products truncated, and are read at u = v = 0;
-nothing is nested.  The curvature reads a 2 x 2 jet (n = 8), the covariant
-derivatives a 3 x 3 jet (n = 12).
+d -> d/du, dbar -> d/dv and products truncated, read at u = v = 0: forward
+substitution solves h G = dh, and the invariants are cells of G.  The
+curvature reads a 2 x 2 jet (n = 8), the derivatives a 3 x 3 jet (n = 12).
 
 Error model (Bornemann, Found. Comput. Math. 11, 2011).  Aliasing: the rule
 returns c[a,b] plus the coefficients c[a + sn, b + tn] r^(sn + tn), s, t
@@ -42,9 +42,9 @@ about eps, which the division by r^(a+b) amplifies to about eps / r^(a+b).
 The coefficients of H at z0 grow like (1 - |z0|)^-(a+b), so the radius
 r = 0.05 (1 - |z0|) keeps both terms, relative to the coefficients, the
 same everywhere in the disc.  Worst deviations from the series path at 0,
-curvature / (0,1) / (1,1): 9.1e-14 / 2.2e-13 / 8.6e-11 on the 12-kernel
-fixture set, 1.4e-13 / 3.0e-13 / 7.7e-11 on the 32-spec held-out corpus and
-9.4e-13 / 1.4e-12 / 1.1e-9 on a 36-spec wide sample with exponents up to 60
+curvature / (0,1) / (1,1): 8.2e-14 / 2.1e-13 / 8.7e-11 on the 12-kernel
+fixture set, 1.1e-13 / 2.5e-13 / 7.8e-11 on the 32-spec held-out corpus and
+9.5e-13 / 1.7e-12 / 1.1e-9 on a 36-spec wide sample with exponents up to 60
 (all in the test suite).
 """
 
@@ -82,16 +82,18 @@ def _jets(spec: KernelSpec, z: complex, depth: int, n: int) -> np.ndarray:
     """c[a, b] for a, b < depth: the Taylor coefficients of H(z + u, conj z + v).
 
     Shape (depth, depth, rank, rank).  One ``evaluate`` call on the n x n
-    torus |u| = |v| = r; the einsum output order ``yx`` transposes K into h.
-    Raises OverflowError when the jet is not finite, as when the kernel
-    overflows on the torus.
+    torus |u| = |v| = r, then the DFT rows times the points of u and of v;
+    swapping the last two axes transposes K into h.  Raises OverflowError
+    when the jet is not finite, as when the kernel overflows on the torus.
     """
     if abs(z) >= 1.0:
         raise DiscDomainError(f"|z| must be < 1, got {abs(z)}")
     r = _RADIUS * (1.0 - abs(z))
     u, w, dft, power = _torus(depth, n)
-    c = np.einsum("aj,jkxy,bk->abyx", dft, spec.evaluate(z + r * u, z + r * w), dft)
-    c = c / r ** power
+    K = spec.evaluate(z + r * u, z + r * w)  # indexed [j, k, x, y]
+    m = K.shape[-1]
+    half = (dft @ K.reshape(n, -1)).reshape(depth, n, m * m)  # [a, k, xy]
+    c = np.swapaxes((dft @ half).reshape(depth, depth, m, m), -1, -2) / r ** power
     finite = np.isfinite(c)
     if not finite.all():
         raise OverflowError(f"kernel value near z = {z} is not finite "
@@ -99,46 +101,41 @@ def _jets(spec: KernelSpec, z: complex, depth: int, n: int) -> np.ndarray:
     return c
 
 
-@lru_cache(maxsize=None)
-def _shift(d: int) -> np.ndarray:
-    """The (d, d, d) boolean table of i + k == p, indexed [p, i, k]; read-only."""
-    shift = np.add.outer(np.arange(d), np.arange(d)) == np.arange(d)[:, None, None]
-    shift.setflags(write=False)
-    return shift
+def _connection(c: np.ndarray) -> np.ndarray:
+    """The jet of G = h^{-1} dh from a d x d jet c of h, by forward substitution.
 
-
-def _times(a: np.ndarray) -> np.ndarray:
-    """Left multiplication by the jet a, as one matrix acting on jets of a's shape.
-
-    A jet b of shape (d1, d2, n, m) is the (d1 d2 n, m) matrix b.reshape(-1, m);
-    cell (p, q) of the truncated product is the sum of a[i, j] b[p - i, q - j].
+    h G = dh holds cell by cell over the truncated jets, dh = d/du c.  With
+    A = h(z)^{-1} c, whose A[0, 0] is the identity, each cell is
+    G[p, q] = (p + 1) A[p + 1, q] minus the sum of A[i, j] G[p - i, q - j]
+    over 0 < i + j, i <= p, j <= q, found in order of p and then q.
+    Shape (d - 1, d, rank, rank).
     """
-    d1, d2, n = a.shape[0], a.shape[1], a.shape[-1]
-    return np.einsum("pik,qjl,ijxy->pqxkly", _shift(d1), _shift(d2), a).reshape(d1 * d2 * n, -1)
-
-
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The truncated jet product a b."""
-    return (_times(a) @ b.reshape(-1, b.shape[-1])).reshape(b.shape)
+    d = len(c)
+    A = np.linalg.solve(c[0, 0], c)
+    G = A[1:] * np.arange(1.0, d)[:, None, None, None]  # d/du u^a v^b = a u^(a-1) v^b
+    A[0, 0] = 0.0  # so that a sum may run over the whole rectangle, G[p, q] included
+    for p in range(d - 1):
+        for q in range(d):
+            if p + q == 1:  # one term, A[p, q] G[0, 0]: one product costs less than a stack
+                G[p, q] -= A[p, q] @ G[0, 0]
+            elif p + q > 1:  # all terms as one stacked product
+                G[p, q] -= (A[: p + 1, : q + 1] @ G[p::-1, q::-1]).sum((0, 1))
+    return G
 
 
 def _invariants(c: np.ndarray) -> tuple:
     """Raw-frame curvature, (0,1) and (1,1) derivatives at the centre of a 3 x 3 jet c of h.
 
-    G = h^{-1} dh solves h G = dh on 2 x 3 jets, dh = d/du c; the curvature
-    K = dbar G is then a 2 x 2 jet and F = dK + [G, K] a 1 x 2 jet.
+    With K = dbar G and F = dK + [G, K], read at u = v = 0: the curvature is
+    K[0,0] = G[0,1], its dbar derivative K[0,1] = 2 G[0,2] and dbar F =
+    2 G[1,2] + [G[0,0], K[0,1]] (the term [G[0,1], K[0,0]] vanishes).
     """
-    weights = np.array([1.0, 2.0])[:, None, None]  # d/du u^a v^b = a u^(a-1) v^b, likewise d/dv
-    dh = c[1:] * weights[:, None]
-    G = np.linalg.solve(_times(c[:2]), dh.reshape(-1, dh.shape[-1])).reshape(dh.shape)
-    K = G[:, 1:] * weights
-    g, k = G[:1, :2], K[:1]
-    F = K[1:] + _product(g, k) - _product(k, g)
-    return K[0, 0], K[0, 1], F[0, 1]
+    G = _connection(c)
+    return G[0, 1], 2.0 * G[0, 2], 2.0 * (G[1, 2] + G[0, 0] @ G[0, 2] - G[0, 2] @ G[0, 0])
 
 
 def curvature_fd(spec: KernelSpec, z: complex) -> np.ndarray:
-    """Raw-frame curvature dbar(h^{-1} dh) = h^{-1} (c11 - c01 h^{-1} c10) at z (2 x 2 jet)."""
+    """Raw-frame curvature h^{-1} (c11 - c01 h^{-1} c10) at z: G[0,1] of a 2 x 2 jet."""
     c = _jets(spec, z, 2, _N_CURVATURE)
     h_inv = np.linalg.inv(c[0, 0])
     return h_inv @ (c[1, 1] - c[0, 1] @ h_inv @ c[1, 0])

@@ -1,5 +1,5 @@
+import collections
 import math
-import sys
 import threading
 
 import numpy as np
@@ -281,47 +281,67 @@ def test_restricted_cells_match_full_normalize(rng):
         assert _same_bits(normalize(shared).coeffs, norm.coeffs), (name, order)
 
 
-def test_one_lattice_under_threads():
+def test_one_lattice_under_threads(monkeypatch):
+    # The first coefficient any thread finds waits, up to 10 ms, inside _cauchy_term for a
+    # second thread to find one too.  Without the lattice's lock every thread reads L and R
+    # as not yet grown, so a second thread always enters and finds that first coefficient
+    # again; with the lock none can, and the wait times out.
     queries = [invariants_at_zero, normalize] + [
         lambda K, n=n: covd_zbar_n_at_zero(K, n) for n in (1, 2, 3, 4, 5)]
+    cauchy_term = invariants._cauchy_term
 
     def parts(result):
         if isinstance(result, PointInvariants):
             return [result.curvature, result.d_zbar, result.d_zzbar]
         return [result.coeffs if isinstance(result, MatrixPowerSeries2) else result]
 
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for name, spec in zoo_fixtures():
-            K = kernel_taylor(spec, 6)
-            serial = [parts(query(MatrixPowerSeries2(K.coeffs))) for query in queries]
-            # a lost update shows in some rounds only, so each spec races on five lattices
-            for _ in range(5):
-                lattice = MatrixPowerSeries2(K.coeffs)
-                barrier = threading.Barrier(4)
-                results = [None] * 4
+    for name, spec in zoo_fixtures():
+        K = kernel_taylor(spec, 6)
+        serial = [parts(query(MatrixPowerSeries2(K.coeffs))) for query in queries]
+        lattice = MatrixPowerSeries2(K.coeffs)
+        # build the factors on the lattice, growing none, so that all four threads share them
+        invariants._normalized_cells(lattice, ((0, 0),))
+        found = collections.Counter()  # finds of each coefficient of each factor
+        first = []  # the thread that finds the first coefficient
+        second = threading.Event()  # set when another thread finds one
+        guard = threading.Lock()
 
-                def work(slot, lattice=lattice, barrier=barrier, results=results):
-                    # each thread asks for the cells in its own order, from its own first query
-                    turn = queries[slot:] + queries[:slot]
-                    barrier.wait(timeout=10)
-                    got = [parts(query(lattice)) for query in turn]
-                    results[slot] = got[len(queries) - slot:] + got[: len(queries) - slot]
+        def interleaved(factor, a, k, l, found=found, first=first, second=second):
+            with guard:
+                found[id(factor), k, l] += 1
+                waits = not first
+                if waits:
+                    first.append(threading.get_ident())
+                elif threading.get_ident() != first[0]:
+                    second.set()
+            if waits:
+                second.wait(timeout=0.01)
+            return cauchy_term(factor, a, k, l)
 
-                threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=30)
-                assert not any(thread.is_alive() for thread in threads)
-                for got in results:
-                    assert got is not None, name
-                    for want_parts, got_parts in zip(serial, got):
-                        for want, have in zip(want_parts, got_parts):
-                            assert _same_bits(have, want), name
-    finally:
-        sys.setswitchinterval(switch)
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(slot, lattice=lattice, barrier=barrier, results=results):
+            # each thread asks for the cells in its own order, from its own first query
+            turn = queries[slot:] + queries[:slot]
+            barrier.wait(timeout=10)
+            got = [parts(query(lattice)) for query in turn]
+            results[slot] = got[len(queries) - slot:] + got[: len(queries) - slot]
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "_cauchy_term", interleaved)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert found and max(found.values()) == 1, name  # each coefficient found once
+        for got in results:
+            assert got is not None, name
+            for want_parts, got_parts in zip(serial, got):
+                for want, have in zip(want_parts, got_parts):
+                    assert _same_bits(have, want), name
 
 
 def test_cauchy_term_counts(monkeypatch):

@@ -101,6 +101,87 @@ def test_curvature_constant_metric_vanishes():
     assert np.abs(covd_zzbar_fd(const, 0.0)).max() < 1e-8
 
 
+def dense_jets(spec, z, depth, n):
+    """c[a, b] by the trapezoid double sum over the n x n torus, one point pair at a time:
+    the sum of H(z + u, conj z + v) u^-a v^-b / n^2 over u = r q^j, v = r q^k."""
+    r = 0.05 * (1 - abs(z))
+    q = np.exp(2j * np.pi / n)
+    c = np.zeros((depth, depth, spec.rank, spec.rank), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            u, v = r * q ** j, r * q ** k
+            # H(z + u, conj z + v) = K(z + u, z + conj v)^t
+            h = spec.evaluate(z + u, z + np.conj(v)).T
+            for a in range(depth):
+                for b in range(depth):
+                    c[a, b] += h / (u ** a * v ** b)
+    return c / n ** 2
+
+
+@pytest.mark.parametrize("z", [0.0, 0.3 - 0.2j])
+def test_jets_match_the_dense_trapezoid_sum(z):
+    # pins the axis order of the two DFT products and the transpose of K into h; the jet
+    # kernels are not symmetric, so a K in place of h^t shows.  Both sides are compared
+    # times r^(a+b): the division by it amplifies round-off by up to r^-4 = 1.6e5
+    r = 0.05 * (1 - abs(z))
+    for depth, n in ((2, oracle._N_CURVATURE), (3, oracle._N_DERIVATIVES)):
+        scale = r ** np.add.outer(np.arange(depth), np.arange(depth))[..., None, None]
+        for name, spec in zoo_fixtures():
+            got = oracle._jets(spec, z, depth, n) * scale
+            want = dense_jets(spec, z, depth, n) * scale
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, depth)
+
+
+def _shift(d):
+    """The (d, d, d) boolean table of i + k == p, indexed [p, i, k]."""
+    return np.add.outer(np.arange(d), np.arange(d)) == np.arange(d)[:, None, None]
+
+
+def _times(a):
+    """Left multiplication by the jet a, as one matrix acting on jets of a's shape.
+
+    A jet b of shape (d1, d2, n, m) is the (d1 d2 n, m) matrix b.reshape(-1, m);
+    cell (p, q) of the truncated product is the sum of a[i, j] b[p - i, q - j].
+    """
+    d1, d2, n = a.shape[0], a.shape[1], a.shape[-1]
+    return np.einsum("pik,qjl,ijxy->pqxkly", _shift(d1), _shift(d2), a).reshape(d1 * d2 * n, -1)
+
+
+def block_toeplitz_invariants(c):
+    """The curvature, (0,1) and (1,1) derivatives of a 3 x 3 jet with every jet product
+    as one block-Toeplitz matrix: h G = dh by one solve, then K = dbar G, F = dK + [G, K]."""
+    weights = np.array([1.0, 2.0])[:, None, None]
+    dh = c[1:] * weights[:, None]
+    G = np.linalg.solve(_times(c[:2]), dh.reshape(-1, dh.shape[-1])).reshape(dh.shape)
+    K = G[:, 1:] * weights
+    g, k = G[:1, :2], K[:1]
+    gk = (_times(g) @ k.reshape(-1, k.shape[-1])).reshape(k.shape)
+    kg = (_times(k) @ g.reshape(-1, g.shape[-1])).reshape(g.shape)
+    F = K[1:] + gk - kg
+    return K[0, 0], K[0, 1], F[0, 1]
+
+
+def test_forward_substitution_matches_the_block_toeplitz_solve():
+    rng = np.random.default_rng(23)
+    jets = [oracle._jets(spec, z, 3, oracle._N_DERIVATIVES)
+            for _, spec in zoo_fixtures() for z in (0.0, 0.3 - 0.2j)]
+    for rank in (1, 2, 3, 4):
+        for _ in range(5):
+            shape = (3, 3, rank, rank)
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            a = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+            c[0, 0] = a @ a.conj().T + rank * np.eye(rank)  # Hermitian positive definite
+            jets.append(c)
+    for c in jets:
+        got, want = np.stack(oracle._invariants(c)), np.stack(block_toeplitz_invariants(c))
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # the curvature route's written-out formula is G[0, 1] of the 2 x 2 jet
+        h_inv = np.linalg.inv(c[0, 0])
+        curvature = h_inv @ (c[1, 1] - c[0, 1] @ h_inv @ c[1, 0])
+        got = oracle._connection(c[:2, :2])[0, 1]
+        assert np.abs(got - curvature).max() <= 1e-12 * np.abs(curvature).max()
+
+
 @pytest.mark.parametrize("z", [0.0, 0.1 + 0.2j])
 def test_connection_reuse_is_bit_identical(monkeypatch, z):
     # equal points give equal jets, so reading G and all three invariants from one shared
@@ -251,7 +332,7 @@ def worst_residuals(corpus):
 
 
 def test_oracle_worst_residuals_on_held_out_corpus():
-    # measured with the jets: curvature 1.4e-13, d_zbar 3.0e-13, d_zzbar 7.7e-11; the pins
+    # measured with the jets: curvature 1.1e-13, d_zbar 2.5e-13, d_zzbar 7.8e-11; the pins
     # date from the finite differences, which read 1.6e-7, 7.0e-9 and 3.8e-6 here
     pinned = {"curvature": 2.5e-7, "d_zbar": 1e-8, "d_zzbar": 5e-6}
     worst = worst_residuals(held_out_corpus())
@@ -260,8 +341,8 @@ def test_oracle_worst_residuals_on_held_out_corpus():
 
 
 def test_oracle_worst_residuals_on_wide_sample():
-    # measured: curvature 9.4e-13 and d_zzbar 1.1e-9 on jet(40, 40, 2), d_zbar 1.4e-12 on
-    # jet(20, 20, 2); the finite differences missed 1e-5 on 15 of these 36 specs
+    # measured: curvature 9.5e-13, d_zbar 1.7e-12 and d_zzbar 1.1e-9, all on jet(40, 40, 2);
+    # the finite differences missed 1e-5 on 15 of these 36 specs
     pinned = {"curvature": 3e-12, "d_zbar": 5e-12, "d_zzbar": 3e-9}
     worst = worst_residuals(wide_sample())
     for key, bound in pinned.items():
