@@ -116,9 +116,7 @@ def _connection(c: np.ndarray) -> np.ndarray:
     A[0, 0] = 0.0  # so that a sum may run over the whole rectangle, G[p, q] included
     for p in range(d - 1):
         for q in range(d):
-            if p + q == 1:  # one term, A[p, q] G[0, 0]: one product costs less than a stack
-                G[p, q] -= A[p, q] @ G[0, 0]
-            elif p + q > 1:  # all terms as one stacked product
+            if p + q:
                 G[p, q] -= (A[: p + 1, : q + 1] @ G[p::-1, q::-1]).sum((0, 1))
     return G
 

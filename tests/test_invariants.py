@@ -1,5 +1,6 @@
 import collections
 import math
+import sys
 import threading
 
 import numpy as np
@@ -282,10 +283,14 @@ def test_restricted_cells_match_full_normalize(rng):
 
 
 def test_one_lattice_under_threads(monkeypatch):
-    # The first coefficient any thread finds waits, up to 10 ms, inside _cauchy_term for a
-    # second thread to find one too.  Without the lattice's lock every thread reads L and R
-    # as not yet grown, so a second thread always enters and finds that first coefficient
-    # again; with the lock none can, and the wait times out.
+    # Two rounds per spec, four threads each, every thread asking for the cells in its own
+    # order.  On a fresh lattice the threads may each build a normalization and the last
+    # assignment is kept; the interleaving there is left to the interpreter.  On a lattice
+    # whose factors are built first, the first coefficient any thread finds waits, up to
+    # 10 ms, inside _cauchy_term for a second thread to find one too.  Without the
+    # lattice's lock every thread reads L and R as not yet grown, so a second thread always
+    # enters and finds that first coefficient again; with the lock none can, and the wait
+    # times out.
     queries = [invariants_at_zero, normalize] + [
         lambda K, n=n: covd_zbar_n_at_zero(K, n) for n in (1, 2, 3, 4, 5)]
     cauchy_term = invariants._cauchy_term
@@ -295,9 +300,42 @@ def test_one_lattice_under_threads(monkeypatch):
             return [result.curvature, result.d_zbar, result.d_zzbar]
         return [result.coeffs if isinstance(result, MatrixPowerSeries2) else result]
 
+    def race(lattice):
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def work(slot):
+            turn = queries[slot:] + queries[:slot]
+            barrier.wait(timeout=10)
+            got = [parts(query(lattice)) for query in turn]
+            results[slot] = got[len(queries) - slot:] + got[: len(queries) - slot]
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        return results
+
+    def check(results, serial, name):
+        for got in results:
+            assert got is not None, name
+            for want_parts, got_parts in zip(serial, got):
+                for want, have in zip(want_parts, got_parts):
+                    assert _same_bits(have, want), name
+
+    switch = sys.getswitchinterval()
     for name, spec in zoo_fixtures():
         K = kernel_taylor(spec, 6)
         serial = [parts(query(MatrixPowerSeries2(K.coeffs))) for query in queries]
+
+        sys.setswitchinterval(1e-6)
+        try:
+            check(race(MatrixPowerSeries2(K.coeffs)), serial, name)
+        finally:
+            sys.setswitchinterval(switch)
+
         lattice = MatrixPowerSeries2(K.coeffs)
         # build the factors on the lattice, growing none, so that all four threads share them
         invariants._normalized_cells(lattice, ((0, 0),))
@@ -318,30 +356,11 @@ def test_one_lattice_under_threads(monkeypatch):
                 second.wait(timeout=0.01)
             return cauchy_term(factor, a, k, l)
 
-        barrier = threading.Barrier(4)
-        results = [None] * 4
-
-        def work(slot, lattice=lattice, barrier=barrier, results=results):
-            # each thread asks for the cells in its own order, from its own first query
-            turn = queries[slot:] + queries[:slot]
-            barrier.wait(timeout=10)
-            got = [parts(query(lattice)) for query in turn]
-            results[slot] = got[len(queries) - slot:] + got[: len(queries) - slot]
-
-        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
         with monkeypatch.context() as patch:
             patch.setattr(invariants, "_cauchy_term", interleaved)
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
+            results = race(lattice)
         assert found and max(found.values()) == 1, name  # each coefficient found once
-        for got in results:
-            assert got is not None, name
-            for want_parts, got_parts in zip(serial, got):
-                for want, have in zip(want_parts, got_parts):
-                    assert _same_bits(have, want), name
+        check(results, serial, name)
 
 
 def test_cauchy_term_counts(monkeypatch):
