@@ -40,8 +40,6 @@ IDENTITY = (1, 2, 3)
 RHO = (2, 1, 3)  # swaps the first two diagonal slots
 TAU = (1, 3, 2)  # swaps the last two diagonal slots
 
-_SOLVE_MATRIX = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -1.0], [1.0, 0.0, 1.0]])
-
 
 @dataclass(frozen=True)
 class FeasibilityResult:

@@ -18,7 +18,6 @@ to a global transpose because tests always compare like with like.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,75 +70,46 @@ class PointInvariants:
         return np.linalg.eigvalsh(0.5 * (self.curvature + self.curvature.conj().T))
 
 
-class _Normalization:
-    """The factors of one lattice's normalization, grown only as far as a query reads.
+def _normalized_rows(K: MatrixPowerSeries2, rows: int) -> np.ndarray:
+    """Rows 0..rows-1 of the normalized lattice of K, every column, read-only.
 
     K~ = a00^{1/2} L K R a00^{1/2} with L = K(z,0)^{-1}, a series in z
-    alone, and R = K(0,w)^{-1}, a series in conj(w) alone.  Built on first
-    use, it holds the one eigh of a00 with a00^{1/2} and a00^{-1}; L as a
-    column and R as a row, each found coefficient by coefficient from the
-    one-variable recursion and extended only to the highest row and column
-    a query reads; and the rows of L K formed so far, each one sum over p
-    of L[p, 0] a[k-p, l] for every column l at once.  Coefficients, once
-    found, never change, so the cells a query reads do not depend on what
-    earlier queries grew.  Growth and reads hold the lock.
+    alone, and R = K(0,w)^{-1}, a series in conj(w) alone: one eigh of a00
+    gives a00^{1/2} and a00^{-1}; L is found to row rows-1 and R to column N
+    by the one-variable recursions; L K and then (L K) R are one sum each,
+    against a gathered at k-p and R gathered at l-q, where a negative index
+    reads an appended zero block.  A sum started at +0 is unchanged by the
+    ±0 products with those blocks, so every cell is bit-identical to the
+    full composition's.  The rows are kept on K and reused by any query
+    reading no more of them; a query reading more recomputes and replaces
+    them.  Kept rows never change, and threads racing on a fresh lattice
+    compute equal rows, so either may be kept.
     """
-
-    def __init__(self, a: np.ndarray):
-        a00 = assert_hermitian(a[0, 0], what="constant kernel coefficient")
-        vals, vecs = np.linalg.eigh(a00)  # the one factorization of a00
-        self.half = positive_sqrt(vals, vecs)
-        self.a00_inv = leading_inverse(vals, vecs)
-        self.a = a
-        # L and R as full lattices, zero off their column and row: _cauchy_term slices them
-        # like a, and its sum includes the coefficient being found, which must still be 0
-        self.left, self.right, self.lk = (np.zeros_like(a) for _ in range(3))
-        self.left[0, 0] = self.right[0, 0] = self.a00_inv
-        self.left_top = self.right_top = 0  # highest coefficient of L and of R found
-        self.rows = set()  # rows k of L K formed, each to the last column of the lattice
-        self.lock = threading.Lock()
-
-    def cells(self, cells) -> np.ndarray:
-        rows, cols = np.array(cells).T
-        top = int(cols.max())
-        a, a00_inv = self.a, self.a00_inv
-        with self.lock:
-            left, right, lk = self.left, self.right, self.lk
-            for k in range(self.left_top + 1, int(rows.max()) + 1):
-                left[k, 0] = -_cauchy_term(left, a, k, 0) @ a00_inv
-                self.left_top = k
-            for l in range(self.right_top + 1, top + 1):
-                right[0, l] = -_cauchy_term(right, a, 0, l) @ a00_inv
-                self.right_top = l
-            for k in set(rows.tolist()) - self.rows:
-                lk[k] = np.einsum("pij,pljm->lim", left[: k + 1, 0], a[k::-1])
-                self.rows.add(k)
-            # entry (c, q) is R[0, l_c - q], and the zero block at index -1 when q > l_c
-            padded = np.concatenate((right[0, : top + 1], np.zeros_like(right[0, :1])))
-            tail = padded[np.maximum(cols[:, None] - np.arange(top + 1), -1)]
-            out = np.einsum("cqij,cqjm->cim", lk[rows, : top + 1], tail)
-        return np.einsum("ij,cjm,mn->cin", self.half, out, self.half)
-
-
-def _normalized_cells(K: MatrixPowerSeries2, cells) -> np.ndarray:
-    """The cells (k, l) of the normalized lattice of K, stacked in order.
-
-    Every query reads through the one :class:`_Normalization` of K, built
-    on first use and kept on K for its lifetime; threads racing on a fresh
-    lattice may each build one, with equal values, and either is kept.  Cell
-    (k, l) is the sum over q of (L K)[k, q] R[0, l-q]; every requested cell
-    is computed in one sum against R reversed and padded with zero blocks,
-    and the a00^{1/2} sandwich acts on the requested cells only.  The full
-    composition adds the same nonzero terms in the same order, next to
-    products with zero blocks; a sum started at +0 is unchanged by the ±0
-    those contribute, so every cell is bit-identical to the full lattice's,
-    whatever was asked of K before.
-    """
-    norm = K._normal
-    if norm is None:
-        norm = _Normalization(K.coeffs)
-        object.__setattr__(K, "_normal", norm)
-    return norm.cells(cells)
+    kept = K._normal
+    if kept is not None and len(kept) >= rows:
+        return kept
+    a, N = K.coeffs, K.order
+    a00 = assert_hermitian(a[0, 0], what="constant kernel coefficient")
+    vals, vecs = np.linalg.eigh(a00)  # the one factorization of a00
+    half = positive_sqrt(vals, vecs)
+    a00_inv = leading_inverse(vals, vecs)
+    # L and R as full lattices, zero off their column and row: _cauchy_term slices them
+    # like a, and its sum includes the coefficient being found, which must still be 0
+    left, right = np.zeros_like(a), np.zeros_like(a)
+    left[0, 0] = right[0, 0] = a00_inv
+    for k in range(1, rows):
+        left[k, 0] = -_cauchy_term(left, a, k, 0) @ a00_inv
+    for l in range(1, N + 1):
+        right[0, l] = -_cauchy_term(right, a, 0, l) @ a00_inv
+    zero = np.zeros_like(a[:1])
+    k, l = np.arange(rows), np.arange(N + 1)
+    lower = np.concatenate((a, zero))[np.maximum(k[:, None] - k, -1)]  # [k, p] = a[k-p]
+    lk = np.einsum("pij,kpljm->klim", left[:rows, 0], lower)
+    tail = np.concatenate((right[0], zero[0]))[np.maximum(l[:, None] - l, -1)]  # [l, q] = R[l-q]
+    out = np.einsum("ij,kljm,mn->klin", half, np.einsum("kqij,lqjm->klim", lk, tail), half)
+    out.setflags(write=False)
+    object.__setattr__(K, "_normal", out)
+    return out
 
 
 def normalize(K: MatrixPowerSeries2) -> MatrixPowerSeries2:
@@ -151,20 +121,19 @@ def normalize(K: MatrixPowerSeries2) -> MatrixPowerSeries2:
     Raises MetricDegeneracyError when the constant term is not positive
     definite and SingularLeadingTermError when it is numerically singular.
     """
-    N, n = K.order, K.rank
-    cells = _normalized_cells(K, list(np.ndindex(N + 1, N + 1)))
-    return MatrixPowerSeries2(cells.reshape(N + 1, N + 1, n, n))
+    return MatrixPowerSeries2(_normalized_rows(K, K.order + 1))
 
 
 def invariants_at_zero(K: MatrixPowerSeries2) -> PointInvariants:
     """Series-path invariants at 0: curvature, (0,1) and (1,1) derivatives.
 
-    Computes only the cells a~[1,1], a~[1,2] and a~[2,2] of the normalized
+    Reads a~[1,1], a~[1,2] and a~[2,2] from rows 0..2 of the normalized
     lattice of K, bit-identical to the same cells of ``normalize``.
     """
     if K.order < INVARIANT_ORDER:
         raise TruncationOrderError(f"invariants at 0 need series order >= {INVARIANT_ORDER}")
-    a11, a12, a22 = _normalized_cells(K, ((1, 1), (1, 2), (2, 2)))
+    norm = _normalized_rows(K, INVARIANT_ORDER + 1)
+    a11, a12, a22 = norm[1, 1], norm[1, 2], norm[2, 2]
     return PointInvariants(
         point=0.0,
         curvature=a11.T,
@@ -176,16 +145,15 @@ def invariants_at_zero(K: MatrixPowerSeries2) -> PointInvariants:
 def covd_zbar_n_at_zero(K: MatrixPowerSeries2, n: int) -> np.ndarray:
     """(n+1)! a~[1, n+1]^t — the order-(0,n) covariant derivative at 0.
 
-    Computes only the cell a~[1, n+1] of the normalized lattice of K,
-    bit-identical to the same cell of ``normalize``.
+    Reads a~[1, n+1] from the rows the invariants at 0 read, so one
+    lattice builds them once; bit-identical to the same cell of ``normalize``.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     t = n + 1
     if K.order < t:
         raise TruncationOrderError(f"series order {K.order} is below the required {t}")
-    (cell,) = _normalized_cells(K, ((1, t),))
-    return math.factorial(t) * cell.T
+    return math.factorial(t) * _normalized_rows(K, INVARIANT_ORDER + 1)[1, t].T
 
 
 # -- closed forms for the homogeneous family -------------------------------

@@ -320,25 +320,22 @@ class DirectSum(KernelSpec):
         return sum(p.rank for p in self.parts)
 
     def evaluate(self, z, w) -> np.ndarray:
-        blocks = [p.evaluate(z, w) for p in self.parts]
-        n = self.rank
-        out = np.zeros(blocks[0].shape[:-2] + (n, n), dtype=complex)
-        at = 0
-        for blk in blocks:
-            r = blk.shape[-1]
-            out[..., at : at + r, at : at + r] = blk
-            at += r
-        return out
+        return _block_diagonal([p.evaluate(z, w) for p in self.parts])
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
-        n = self.rank
-        c = np.zeros((order + 1, order + 1, n, n), dtype=complex)
-        at = 0
-        for p in self.parts:
-            r = p.rank
-            c[:, :, at : at + r, at : at + r] = p.taylor(order).coeffs
-            at += r
-        return MatrixPowerSeries2(c)
+        return MatrixPowerSeries2(_block_diagonal([p.taylor(order).coeffs for p in self.parts]))
+
+
+def _block_diagonal(blocks: list) -> np.ndarray:
+    """The blocks, alike in their leading axes, on the diagonal of a zero array along the last two."""
+    n = sum(blk.shape[-1] for blk in blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (n, n), dtype=complex)
+    at = 0
+    for blk in blocks:
+        r = blk.shape[-1]
+        out[..., at : at + r, at : at + r] = blk
+        at += r
+    return out
 
 
 @dataclass(frozen=True)
@@ -395,8 +392,9 @@ class Homogeneous(KernelSpec):
     def evaluate(self, z, w) -> np.ndarray:
         _check_disc(z, w)
         m = self.m
-        wbar = np.conj(w)
-        one_x = 1 - np.asarray(z * wbar)[..., None, None]
+        # scalars as arrays too: a scalar product can differ from the array product in the last bit
+        z, wbar = np.asarray(z), np.conj(np.asarray(w))
+        one_x = 1 - (z * wbar)[..., None, None]
         w_terms, z_terms, d, d_exp = self._tables
         expw = _nilpotent_exp(wbar, w_terms)
         expz = _nilpotent_exp(z, z_terms)

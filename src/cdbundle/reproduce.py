@@ -22,7 +22,7 @@ from .feasibility import (
     solve_triple,
 )
 from .invariants import INVARIANT_ORDER, invariants_at_zero
-from .kernels import BergmanPower, DirectSum, Jet, kernel_taylor, weighted_shift
+from .kernels import BergmanPower, DirectSum, Homogeneous, Jet, kernel_taylor, weighted_shift
 from .oracle import curvature_eigenvalues_fd
 
 
@@ -143,7 +143,7 @@ def run_example2():
     return records, notes
 
 
-def _perm_scenario(records, notes, delta, region, partner_sigma):
+def _perm_scenario(records, delta, region, partner_sigma):
     ok, ledger = check_region(delta, region)
     _rec(records, f"{region} region holds for {delta}", ok,
          ", ".join(f"{k}:{'ok' if v['ok'] else 'fail'}" for k, v in ledger.items()))
@@ -165,8 +165,6 @@ def _perm_scenario(records, notes, delta, region, partner_sigma):
     dist = max(abs(x - y) for x, y in zip(r.params, rp.params))
     _rec(records, "partner parameters are distinct", dist > 1e-6, f"max param gap {dist:.3f}")
 
-    from .kernels import Homogeneous
-
     k1 = Homogeneous(lam=r.params[0], mu=r.mu_vector(), m=2)
     k2 = Homogeneous(lam=rp.params[0], mu=rp.mu_vector(), m=2)
     report = full_report(k1, k2)
@@ -176,17 +174,17 @@ def _perm_scenario(records, notes, delta, region, partner_sigma):
 
 
 def run_perm1():
-    records, notes = [], []
+    records = []
     for d3 in (9.5, 10.5, 11.5):
-        _perm_scenario(records, notes, (1.0, 2.0, d3), "perm1", RHO)
-    return records, notes
+        _perm_scenario(records, (1.0, 2.0, d3), "perm1", RHO)
+    return records, []
 
 
 def run_perm2():
-    records, notes = [], []
+    records = []
     for d1 in (0.25, 0.5, 0.75):
-        _perm_scenario(records, notes, (d1, 7.5, 8.0), "perm2", TAU)
-    return records, notes
+        _perm_scenario(records, (d1, 7.5, 8.0), "perm2", TAU)
+    return records, []
 
 
 def run_rank2():

@@ -19,11 +19,11 @@ Conventions
 All values are immutable after construction (the coefficient array is set
 read-only) and every operation is a pure function, so instances are safe
 to use concurrently.  The one mutable part of an instance is its slot for
-the lattice's normalization factors (cdbundle.invariants): empty until
-the first query of the normalized lattice (``normalize`` or an invariant
-at 0), then holding factors that grow under their own lock and never
-change a value once found.  They live and die with the instance and are
-never shared between instances.
+the leading rows of the normalized lattice (cdbundle.invariants): empty
+until the first query of the normalized lattice (``normalize`` or an
+invariant at 0), then holding a read-only array that is only ever
+replaced whole, by rows of the same values.  The rows live and die with
+the instance and are never shared between instances.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class MatrixPowerSeries2:
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "rank", arr.shape[2])
         object.__setattr__(self, "order", arr.shape[0] - 1)
-        object.__setattr__(self, "_normal", None)  # the lattice's normalization factors
+        object.__setattr__(self, "_normal", None)  # leading rows of the normalized lattice
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MatrixPowerSeries2 is immutable")

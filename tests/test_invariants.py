@@ -1,4 +1,3 @@
-import collections
 import math
 import sys
 import threading
@@ -260,7 +259,7 @@ def test_restricted_cells_match_full_normalize(rng):
         norm = normalize(K)
         assert _same_bits(norm.coeffs, _composed_normalize(K)), (name, order)
         a11, a12, a22 = norm.coeff(1, 1), norm.coeff(1, 2), norm.coeff(2, 2)
-        # K's factors are complete after normalize; each fresh lattice grows its own
+        # K keeps all its rows after normalize; each fresh lattice computes its own
         for lattice in (K, MatrixPowerSeries2(K.coeffs)):
             inv = invariants_at_zero(lattice)
             assert _same_bits(inv.curvature, a11.T), (name, order)
@@ -283,14 +282,11 @@ def test_restricted_cells_match_full_normalize(rng):
 
 
 def test_one_lattice_under_threads(monkeypatch):
-    # Two rounds per spec, four threads each, every thread asking for the cells in its own
-    # order.  On a fresh lattice the threads may each build a normalization and the last
-    # assignment is kept; the interleaving there is left to the interpreter.  On a lattice
-    # whose factors are built first, the first coefficient any thread finds waits, up to
-    # 10 ms, inside _cauchy_term for a second thread to find one too.  Without the
-    # lattice's lock every thread reads L and R as not yet grown, so a second thread always
-    # enters and finds that first coefficient again; with the lock none can, and the wait
-    # times out.
+    # Two rounds per spec on a fresh lattice, four threads each, every thread asking for
+    # the results in its own order.  In the first round the interleaving is left to the
+    # interpreter.  In the second the first thread to find a coefficient waits inside
+    # _cauchy_term until a second thread finds one too, so at least two threads compute
+    # the rows of the one fresh lattice at once and each keeps what it computed.
     queries = [invariants_at_zero, normalize] + [
         lambda K, n=n: covd_zbar_n_at_zero(K, n) for n in (1, 2, 3, 4, 5)]
     cauchy_term = invariants._cauchy_term
@@ -337,36 +333,35 @@ def test_one_lattice_under_threads(monkeypatch):
             sys.setswitchinterval(switch)
 
         lattice = MatrixPowerSeries2(K.coeffs)
-        # build the factors on the lattice, growing none, so that all four threads share them
-        invariants._normalized_cells(lattice, ((0, 0),))
-        found = collections.Counter()  # finds of each coefficient of each factor
         first = []  # the thread that finds the first coefficient
         second = threading.Event()  # set when another thread finds one
         guard = threading.Lock()
 
-        def interleaved(factor, a, k, l, found=found, first=first, second=second):
+        def held(factor, a, k, l, first=first, second=second):
             with guard:
-                found[id(factor), k, l] += 1
                 waits = not first
                 if waits:
                     first.append(threading.get_ident())
                 elif threading.get_ident() != first[0]:
                     second.set()
             if waits:
-                second.wait(timeout=0.01)
+                second.wait(timeout=10)
             return cauchy_term(factor, a, k, l)
 
         with monkeypatch.context() as patch:
-            patch.setattr(invariants, "_cauchy_term", interleaved)
+            patch.setattr(invariants, "_cauchy_term", held)
             results = race(lattice)
-        assert found and max(found.values()) == 1, name  # each coefficient found once
+        assert second.is_set(), name  # two threads computed the fresh lattice's rows at once
         check(results, serial, name)
+        kept = lattice._normal
+        assert not kept.flags.writeable, name
+        assert _same_bits(kept, serial[1][0][: len(kept)]), name  # rows of the serial normalize
 
 
 def test_cauchy_term_counts(monkeypatch):
     # deterministic work counts of the series path: one count per coefficient of
-    # the L column and the R row, each found once per lattice; the rows of L K and
-    # the cells of (L K) R are batched sums outside _cauchy_term
+    # the L column to the last row read and of the R row to the last column; the
+    # sums L K and (L K) R are batched outside _cauchy_term
     calls = []
     cauchy_term = series._cauchy_term
 
@@ -389,13 +384,13 @@ def test_cauchy_term_counts(monkeypatch):
     def fresh():
         return MatrixPowerSeries2(lattice.coeffs)
 
-    assert count(invariants_at_zero, fresh()) == 2 + 2
-    assert [count(covd_zbar_n_at_zero, fresh(), n) for n in (1, 2, 3, 4)] == [3, 4, 5, 6]
+    assert count(invariants_at_zero, fresh()) == 2 + 6
+    assert [count(covd_zbar_n_at_zero, fresh(), n) for n in (1, 2, 3, 4)] == [8, 8, 8, 8]
     assert count(normalize, lattice.truncate(2)) == 2 + 2
-    # on one lattice, each query finds only the R coefficients no earlier query found
+    # on one lattice, covd reads the rows the invariants kept
     shared = fresh()
-    assert count(invariants_at_zero, shared) == 2 + 2
-    assert [count(covd_zbar_n_at_zero, shared, n) for n in (1, 2, 3, 4)] == [0, 1, 1, 1]
+    assert count(invariants_at_zero, shared) == 2 + 6
+    assert [count(covd_zbar_n_at_zero, shared, n) for n in (1, 2, 3, 4)] == [0, 0, 0, 0]
 
 
 def test_homogeneous_closed_m2_reference_values():

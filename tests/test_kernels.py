@@ -284,8 +284,22 @@ def test_batched_evaluate_matches_pointwise_calls():
             for k in range(a.size):
                 one = spec.evaluate(a[k].item(), b[k].item())
                 assert np.abs(stack[k] - one).max() <= 1e-14 * np.abs(one).max(), name
-                if "hom" not in name:  # Python scalars take the array arithmetic, bit for bit
-                    assert one.tobytes() == stack[k].tobytes(), (name, a[k], b[k])
+                # Python scalars take the array arithmetic, bit for bit
+                assert one.tobytes() == stack[k].tobytes(), (name, a[k], b[k])
+
+
+def test_homogeneous_scalar_evaluate_takes_the_array_product():
+    # Python's complex product differs from numpy's in the last bit, so z conj(w) is formed
+    # from arrays even for scalar points
+    rng = np.random.default_rng(11)
+    pairs = rng.uniform(-0.6, 0.6, (200, 4))
+    for name, spec in zoo_fixtures():
+        if not name.startswith("hom"):
+            continue
+        for zr, zi, wr, wi in pairs:
+            z, w = complex(zr, zi), complex(wr, wi)
+            one, stack = spec.evaluate(z, w), spec.evaluate(np.array([z]), np.array([w]))
+            assert one.tobytes() == stack[0].tobytes(), (name, z, w)
 
 
 def test_batched_evaluate_checks_every_point():
