@@ -200,6 +200,10 @@ def cmd_feasible(args) -> int:
     if args.rank2:
         if args.pair is None:
             raise ValueError("--rank2 requires --pair d1,d2")
+        if args.triple is not None:
+            raise ValueError("'--triple' does not go with --rank2, which reads --pair")
+        if args.permutations:
+            raise ValueError("'--permutations' does not go with --rank2")
         d1, d2 = _parse_tuple(args.pair, 2)
         sol = rank2_feasibility(d1, d2)
         doc = {
@@ -213,6 +217,8 @@ def cmd_feasible(args) -> int:
         return EXIT_OK
     if args.triple is None:
         raise ValueError("provide --triple d1,d2,d3 (or --pair with --rank2)")
+    if args.pair is not None:
+        raise ValueError("'--pair' does not go with --triple; it needs --rank2")
     delta = _parse_tuple(args.triple, 3)
     res = solve_triple(delta)
     doc = {

@@ -137,8 +137,13 @@ class TriangularData:
             for j in range(l + 1):
                 two_lam_j = 2.0 * lam - m + 2 * j
                 L[l, j] = math.comb(l, j) ** 2 * math.factorial(l - j) / rising(two_lam_j, l - j)
-        mu_sq = np.array([float(x) ** 2 for x in mu])
-        d = L @ mu_sq
+        try:
+            mu_sq = np.array([float(x) ** 2 for x in mu])
+            with np.errstate(over="raise"):
+                d = L @ mu_sq
+        except (OverflowError, FloatingPointError):
+            raise ValueError(f"mu {tuple(mu)} is too large: mu_i^2 or the metric diagonal "
+                             "d = L mu' is not finite") from None
         if d.min() <= 0:
             raise ValueError(f"diagonal metric data must be positive, got {d}")
         return cls(lam=float(lam), mu=tuple(float(x) for x in mu), m=int(m), L=L, d=d)

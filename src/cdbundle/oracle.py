@@ -32,6 +32,9 @@ The formulas above then act on truncated jets, polynomials in u and v with
 d -> d/du, dbar -> d/dv and products truncated, read at u = v = 0: forward
 substitution solves h G = dh, and the invariants are cells of G.  The
 curvature reads a 2 x 2 jet (n = 8), the derivatives a 3 x 3 jet (n = 12).
+The triple at 0 appends the centre u = v = 0 to the column and the row of
+its call, so the same call gives h(0) = K(0, 0)^t for the orthonormal frame;
+the DFT reads the n x n torus block only, and the jet keeps its bytes.
 
 Error model (Bornemann, Found. Comput. Math. 11, 2011).  Aliasing: the rule
 returns c[a,b] plus the coefficients c[a + sn, b + tn] r^(sn + tn), s, t
@@ -67,69 +70,63 @@ _N_DERIVATIVES = 12
 
 
 @lru_cache(maxsize=None)
-def _torus(depth: int, n: int) -> tuple:
+def _torus(depth: int, n: int, centre: bool = False) -> tuple:
     """The torus of radius 1 as u, an (n, 1) column, and conj v, a (1, n) row, which
     broadcast to its n x n point pairs; the first `depth` rows of the n-point DFT
-    matrix divided by n; and the exponents a + b."""
+    matrix divided by n; and the exponents a + b.  With `centre`, u = v = 0 closes
+    column and row as an (n + 1)-th point, so the pairs also hold the centre."""
     circle = np.exp(2j * np.pi * np.arange(n) / n)
     dft = np.conj(circle[: depth, None] ** np.arange(n)) / n
     power = np.arange(depth)
     exponents = np.add.outer(power, power)[..., None, None]
-    return circle[:, None], np.conj(circle)[None, :], dft, exponents
+    points = np.append(circle, 0.0) if centre else circle
+    return points[:, None], np.conj(points)[None, :], dft, exponents
 
 
-def _jets(spec: KernelSpec, z: complex, depth: int, n: int) -> np.ndarray:
+def _jets(spec: KernelSpec, z: complex, depth: int, n: int, centre: bool = False):
     """c[a, b] for a, b < depth: the Taylor coefficients of H(z + u, conj z + v).
 
     Shape (depth, depth, rank, rank).  One ``evaluate`` call on the n x n
     torus |u| = |v| = r, then the DFT rows times the points of u and of v;
-    swapping the last two axes transposes K into h.  Raises OverflowError
-    when the jet is not finite, as when the kernel overflows on the torus.
+    swapping the last two axes transposes K into h.  With `centre`, the same
+    call also covers the pair (z, z), and the pair (c, h(z)) is returned.
+    Raises OverflowError when the jet is not finite, as when the kernel
+    overflows on the torus.
     """
     if abs(z) >= 1.0:
         raise DiscDomainError(f"|z| must be < 1, got {abs(z)}")
     r = _RADIUS * (1.0 - abs(z))
-    u, w, dft, power = _torus(depth, n)
+    u, w, dft, power = _torus(depth, n, centre)
     K = spec.evaluate(z + r * u, z + r * w)  # indexed [j, k, x, y]
     m = K.shape[-1]
-    half = (dft @ K.reshape(n, -1)).reshape(depth, n, m * m)  # [a, k, xy]
+    half = (dft @ K[:n, :n].reshape(n, -1)).reshape(depth, n, m * m)  # [a, k, xy]
     c = np.swapaxes((dft @ half).reshape(depth, depth, m, m), -1, -2) / r ** power
     finite = np.isfinite(c)
     if not finite.all():
         raise OverflowError(f"kernel value near z = {z} is not finite "
                             f"(jet coefficient {c[~finite][0]})")
-    return c
-
-
-def _connection(c: np.ndarray) -> np.ndarray:
-    """The jet of G = h^{-1} dh from a d x d jet c of h, by forward substitution.
-
-    h G = dh holds cell by cell over the truncated jets, dh = d/du c.  With
-    A = h(z)^{-1} c, whose A[0, 0] is the identity, each cell is
-    G[p, q] = (p + 1) A[p + 1, q] minus the sum of A[i, j] G[p - i, q - j]
-    over 0 < i + j, i <= p, j <= q, found in order of p and then q.
-    Shape (d - 1, d, rank, rank).
-    """
-    d = len(c)
-    A = np.linalg.solve(c[0, 0], c)
-    G = A[1:] * np.arange(1.0, d)[:, None, None, None]  # d/du u^a v^b = a u^(a-1) v^b
-    A[0, 0] = 0.0  # so that a sum may run over the whole rectangle, G[p, q] included
-    for p in range(d - 1):
-        for q in range(d):
-            if p + q:
-                G[p, q] -= (A[: p + 1, : q + 1] @ G[p::-1, q::-1]).sum((0, 1))
-    return G
+    return (c, K[n, n].T) if centre else c
 
 
 def _invariants(c: np.ndarray) -> tuple:
     """Raw-frame curvature, (0,1) and (1,1) derivatives at the centre of a 3 x 3 jet c of h.
 
+    The jet of G = h^{-1} dh solves h G = dh cell by cell over the truncated
+    jets, dh = d/du c: with A = h(z)^{-1} c, whose A[0, 0] is the identity,
+    G[p, q] = (p + 1) A[p + 1, q] minus the sum of A[i, j] G[p - i, q - j]
+    over 0 < i + j, i <= p, j <= q, written out below in order of p and then q.
     With K = dbar G and F = dK + [G, K], read at u = v = 0: the curvature is
     K[0,0] = G[0,1], its dbar derivative K[0,1] = 2 G[0,2] and dbar F =
     2 G[1,2] + [G[0,0], K[0,1]] (the term [G[0,1], K[0,0]] vanishes).
     """
-    G = _connection(c)
-    return G[0, 1], 2.0 * G[0, 2], 2.0 * (G[1, 2] + G[0, 0] @ G[0, 2] - G[0, 2] @ G[0, 0])
+    (_, a01, a02), (a10, a11, a12), (a20, a21, a22) = np.linalg.solve(c[0, 0], c)
+    g00 = a10
+    g01 = a11 - a01 @ g00
+    g02 = a12 - a01 @ g01 - a02 @ g00
+    g10 = 2.0 * a20 - a10 @ g00
+    g11 = 2.0 * a21 - a01 @ g10 - a10 @ g01 - a11 @ g00
+    g12 = 2.0 * a22 - a01 @ g11 - a02 @ g10 - a10 @ g02 - a11 @ g01 - a12 @ g00
+    return g01, 2.0 * g02, 2.0 * (g12 + g00 @ g02 - g02 @ g00)
 
 
 def curvature_fd(spec: KernelSpec, z: complex) -> np.ndarray:
@@ -172,21 +169,23 @@ def to_orthonormal_frame(M: np.ndarray, h0: np.ndarray) -> np.ndarray:
     if vals.min() < 1e-10:
         raise MetricDegeneracyError(f"metric not positive definite (min eigenvalue {vals.min():.3e})")
     root = np.sqrt(vals)
-    half = (vecs * root) @ vecs.conj().T
-    inv_half = (vecs / root) @ vecs.conj().T  # from the same eigh, not a second factorization
+    vecs_h = vecs.conj().T
+    half = (vecs * root) @ vecs_h
+    inv_half = (vecs / root) @ vecs_h  # from the same eigh, not a second factorization
     return half @ M @ inv_half
 
 
 def oracle_invariants_at_zero(spec: KernelSpec) -> dict:
-    """Orthonormal-frame oracle triple at 0, from one 3 x 3 jet.
+    """Orthonormal-frame oracle triple at 0, from one 3 x 3 jet and one ``evaluate`` call.
 
     Returns plain matrices under keys 'curvature', 'd_zbar', 'd_zzbar';
     unlike the series path they carry quadrature error, so no
-    Hermitian-validation gate is applied here.  h(0) is checked by
+    Hermitian-validation gate is applied here.  h(0) = K(0, 0)^t is read
+    from the centre pair of the jet's own torus call and checked by
     :func:`to_orthonormal_frame`.
     """
-    h0 = spec.metric_at(0.0)
-    raw = np.stack(_invariants(_jets(spec, 0.0, 3, _N_DERIVATIVES)))
+    c, h0 = _jets(spec, 0.0, 3, _N_DERIVATIVES, centre=True)
+    raw = np.stack(_invariants(c))
     return dict(zip(("curvature", "d_zbar", "d_zzbar"), to_orthonormal_frame(raw, h0)))
 
 

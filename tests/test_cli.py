@@ -172,6 +172,10 @@ def test_feasible_malformed_input(capsys):
     (["--triple", "nan,2,10"], "nan"),
     (["--triple", "1,2,inf"], "inf"),
     (["--pair", "1e400,5", "--rank2"], "1e400"),
+    # a flag that the chosen mode would ignore is refused and named, not dropped
+    (["--rank2", "--pair", "1,5", "--triple", "1,2,10"], "--triple"),
+    (["--rank2", "--pair", "1,5", "--permutations"], "--permutations"),
+    (["--triple", "1,2,10", "--pair", "1,5"], "--pair"),
 ])
 def test_feasible_non_finite_input_is_a_parse_failure(capsys, argv, token):
     code, out, err = run(capsys, ["feasible", *argv])
@@ -440,6 +444,32 @@ def test_invariants_overflow_is_one_numeric_error(tmp_path):
     # (1 - z conj w)^-1e6 overflows on the oracle's torus at 0
     path = write(tmp_path, "b1e6.json", {"type": "bergman", "lambda": 1e6})
     assert_one_numeric_error(run_process(["invariants", "--kernel", path]))
+
+
+@pytest.mark.parametrize("command", ["invariants", "equiv", "field"])
+@pytest.mark.parametrize("mu", [[1.0, 1e200, 1.0], [1.0, 1e154, 1e154]])
+def test_overflowing_mu_is_one_parse_error(tmp_path, command, mu):
+    # 1e200^2 overflowed Python's float power (exit 3, "Numerical result out of range");
+    # d = L mu' overflowed in the matmul for 1e154 (a numpy warning, then exit 2)
+    path = write(tmp_path, "hom.json", {**HOM, "mu": mu})
+    argv = {
+        "invariants": ["invariants", "--kernel", path],
+        "equiv": ["equiv", "--left", path, "--right", path],
+        "field": ["field", "--kernel", path, "--grid", "3", "--out", str(tmp_path / "f.csv")],
+    }[command]
+    proc = run_process(argv)
+    assert proc.returncode == EXIT_PARSE and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: mu "), proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+def test_large_finite_mu_stays_a_numeric_error(tmp_path, capsys):
+    # mu_1^2 = 1e300 is finite, and the constant term is singular to working precision
+    path = write(tmp_path, "hom.json", {**HOM, "mu": [1.0, 1e150, 1.0]})
+    code, out, err = run(capsys, ["invariants", "--kernel", path])
+    assert code == EXIT_NUMERIC and out == ""
+    assert err.startswith("numeric error: ") and "singular" in err
 
 
 def test_field_near_the_boundary(tmp_path, capsys):

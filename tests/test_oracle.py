@@ -60,6 +60,8 @@ class CountingMetric:
         self.calls.append(zs.size)
         return self._spec.evaluate(z, w)
 
+    metric_at = KernelSpec.metric_at
+
 
 def jet1_raw_curvature(alpha, beta, z):
     """Printed raw-frame curvature field of the rank-2 jet bundle."""
@@ -175,23 +177,24 @@ def test_forward_substitution_matches_the_block_toeplitz_solve():
     for c in jets:
         got, want = np.stack(oracle._invariants(c)), np.stack(block_toeplitz_invariants(c))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        # the curvature route's written-out formula is G[0, 1] of the 2 x 2 jet
+        # the curvature cell is the curvature route's written-out formula
         h_inv = np.linalg.inv(c[0, 0])
         curvature = h_inv @ (c[1, 1] - c[0, 1] @ h_inv @ c[1, 0])
-        got = oracle._connection(c[:2, :2])[0, 1]
+        got = oracle._invariants(c)[0]
         assert np.abs(got - curvature).max() <= 1e-12 * np.abs(curvature).max()
 
 
 @pytest.mark.parametrize("z", [0.0, 0.1 + 0.2j])
 def test_connection_reuse_is_bit_identical(monkeypatch, z):
     # equal points give equal jets, so reading G and all three invariants from one shared
-    # 3 x 3 jet, as oracle_invariants_at_zero does, changes no bit
+    # 3 x 3 jet, as oracle_invariants_at_zero does, changes no bit; the centre pair that
+    # oracle_invariants_at_zero adds to the torus call leaves the jet's bytes alone
     jets = oracle._jets
     calls = []
 
-    def recording(*args):
-        out = jets(*args)
-        calls.append((args, out))
+    def recording(*args, **kwargs):
+        out = jets(*args, **kwargs)
+        calls.append((args, kwargs, out))
         return out
 
     monkeypatch.setattr(oracle, "_jets", recording)
@@ -200,14 +203,39 @@ def test_connection_reuse_is_bit_identical(monkeypatch, z):
         covd_zbar_fd(spec, z)
         covd_zzbar_fd(spec, z)
         assert len(calls) == 2, name
-        (args, out), (args1, out1) = calls
-        assert args == args1 and np.array_equal(out, out1), name
+        (args, kwargs, out), (args1, kwargs1, out1) = calls
+        assert args == args1 and kwargs == kwargs1 == {} and np.array_equal(out, out1), name
         assert np.array_equal(jets(*args), out), name
         if z == 0:
             calls.clear()
             oracle_invariants_at_zero(spec)
-            assert len(calls) == 1 and calls[0][0] == args, name
-            assert np.array_equal(calls[0][1], out), name
+            assert len(calls) == 1 and calls[0][:2] == (args, {"centre": True}), name
+            assert calls[0][2][0].tobytes() == out.tobytes(), name
+
+
+def test_oracle_at_zero_evaluates_once_and_reads_h0_from_the_centre(monkeypatch):
+    # the 12 x 12 torus and its centre (0, 0) as one 13 x 13 call; the h(0) that the frame
+    # step receives has the bytes of metric_at(0.0), the kernel's own call at one point
+    n = oracle._N_DERIVATIVES
+    for name, spec in zoo_fixtures():
+        counting = CountingMetric(spec)
+        oracle_invariants_at_zero(counting)
+        assert counting.calls == [(n + 1) ** 2], name
+        assert counting.shapes == [((n + 1, 1), (1, n + 1))], name
+        assert counting.pairs[-1] == (0.0, 0.0), name
+    frame = oracle.to_orthonormal_frame
+    metrics = []
+
+    def recording(M, h0):
+        metrics.append(h0)
+        return frame(M, h0)
+
+    monkeypatch.setattr(oracle, "to_orthonormal_frame", recording)
+    for name, spec in zoo_fixtures() + held_out_corpus() + wide_sample():
+        metrics.clear()
+        oracle_invariants_at_zero(spec)
+        assert len(metrics) == 1, name
+        assert metrics[0].tobytes() == spec.metric_at(0.0).tobytes(), name
 
 
 @pytest.mark.parametrize("route", [curvature_fd, covd_zbar_fd, covd_zzbar_fd])
