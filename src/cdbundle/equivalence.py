@@ -55,10 +55,19 @@ TOLERANCES = {"eig": TOL_EIG, "zero": TOL_ZERO,
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """A verdict, the certificate that records why, and the witness behind it.
+
+    ``witness`` is set only when the pair decider finds the pair EQUIVALENT
+    (``full_report`` keeps it when the (1,1) stage then splits the pair);
+    ``witness_claims`` lists the checks it was verified against.
+    ``surviving_maps`` are the index maps that passed the (0,1) analysis,
+    which is what the (1,1) stage checks.
+    """
+
     verdict: Verdict
-    witness: Optional[np.ndarray]
-    witness_claims: tuple
     certificate: dict
+    witness: Optional[np.ndarray] = None
+    witness_claims: tuple = ()
     surviving_maps: tuple = ()
     annotations: tuple = ()
 
@@ -109,15 +118,15 @@ def _allowed_bijections(d1: np.ndarray, d2: np.ndarray):
 def _ratio_solution(X_support: dict, T2_support: dict, n: int):
     """Solve d_i X[i,j] / d_j = T2[i,j] on the common support.
 
-    Returns (consistent, unimodular, d, ratios) where d is one concrete
-    diagonal solution (components not touched by the support default to 1).
+    Returns None when no diagonal solves it, else (unimodular, d, ratios)
+    where d is one concrete solution (components not touched by the
+    support default to 1).
     """
     if set(X_support) != set(T2_support):
-        return False, False, None, None
+        return None
     ratios = {e: T2_support[e] / X_support[e] for e in X_support}
     # propagate d over the support graph, component by component
     d = [None] * n
-    edges = list(ratios.items())
     for start in range(n):
         if d[start] is not None:
             continue
@@ -125,7 +134,7 @@ def _ratio_solution(X_support: dict, T2_support: dict, n: int):
         changed = True
         while changed:
             changed = False
-            for (i, j), r in edges:
+            for (i, j), r in ratios.items():
                 if d[i] is not None and d[j] is None:
                     d[j] = d[i] / r
                     changed = True
@@ -133,14 +142,25 @@ def _ratio_solution(X_support: dict, T2_support: dict, n: int):
                     d[i] = d[j] * r
                     changed = True
     scale = max(1.0, max(abs(v) for v in T2_support.values()))
-    consistent = all(
+    if not all(  # a NaN residual fails too
         abs(d[i] * X_support[(i, j)] / d[j] - T2_support[(i, j)]) <= TOL_INTERTWINE * scale
         for (i, j) in X_support
-    )
-    if not consistent:
-        return False, False, None, None
+    ):
+        return None
     unimodular = all(abs(abs(r) - 1.0) <= 1e-7 for r in ratios.values())
-    return True, unimodular, np.array(d, dtype=complex), ratios
+    return unimodular, np.array(d, dtype=complex), ratios
+
+
+def _solutions(hits) -> list:
+    """Certificate records of (map, unimodular, d, ratios) hits."""
+    return [
+        {
+            "map": list(c),
+            "diagonal": [complex(v) for v in d],
+            "ratios": {f"{i},{j}": complex(r) for (i, j), r in ratios.items()},
+        }
+        for c, _, d, ratios in hits
+    ]
 
 
 def _require(residual: float, tol: float, what: str) -> None:
@@ -182,17 +202,12 @@ def simultaneous_pair_equiv(inv1: PointInvariants, inv2: PointInvariants) -> Equ
     d1 = _diagonal_part(K1, "curvature 1")
     d2 = _diagonal_part(K2, "curvature 2")
     if len(d1) != len(d2) or np.abs(np.sort(d1) - np.sort(d2)).max() > TOL_EIG:
-        return EquivalenceReport(
-            verdict=Verdict.DISTINCT,
-            witness=None,
-            witness_claims=(),
-            certificate={
-                "level": "spectrum",
-                "reason": "curvature eigenvalue multisets differ",
-                "spectrum_1": sorted(d1.tolist()),
-                "spectrum_2": sorted(d2.tolist()),
-            },
-        )
+        return EquivalenceReport(Verdict.DISTINCT, {
+            "level": "spectrum",
+            "reason": "curvature eigenvalue multisets differ",
+            "spectrum_1": sorted(d1.tolist()),
+            "spectrum_2": sorted(d2.tolist()),
+        })
 
     n = len(d1)
     T1 = np.asarray(inv1.d_zbar, dtype=complex)
@@ -201,121 +216,62 @@ def simultaneous_pair_equiv(inv1: PointInvariants, inv2: PointInvariants) -> Equ
     sup2 = _derivative_support(T2, d2)
     maps = _allowed_bijections(d1, d2)
 
+    def witnessed(U, claims, certificate, surviving):
+        _verify_witness(U, K1, K2, T1, T2, claims)
+        return EquivalenceReport(Verdict.EQUIVALENT, {"level": "(0,1)", **certificate},
+                                 witness=U, witness_claims=claims, surviving_maps=surviving)
+
     if not sup1 and not sup2:
-        U = permutation_matrix([j + 1 for j in maps[0]])
-        claims = ("curvature", "d_zbar")
-        _verify_witness(U, K1, K2, T1, T2, claims)
-        return EquivalenceReport(
-            verdict=Verdict.EQUIVALENT,
-            witness=U,
-            witness_claims=claims,
-            certificate={"level": "(0,1)", "reason": "both derivatives vanish"},
-            surviving_maps=tuple(maps),
-        )
+        return witnessed(permutation_matrix([j + 1 for j in maps[0]]), ("curvature", "d_zbar"),
+                         {"reason": "both derivatives vanish"}, tuple(maps))
     if bool(sup1) != bool(sup2):
-        return EquivalenceReport(
-            verdict=Verdict.EIGENVALUES_MATCH_ONLY,
-            witness=None,
-            witness_claims=(),
-            certificate={
-                "level": "(0,1)",
-                "reason": "derivative vanishes on one side only",
-                "vanishing_side": 1 if not sup1 else 2,
-            },
-            surviving_maps=(),
-        )
+        return EquivalenceReport(Verdict.EIGENVALUES_MATCH_ONLY, {
+            "level": "(0,1)",
+            "reason": "derivative vanishes on one side only",
+            "vanishing_side": 1 if not sup1 else 2,
+        })
 
-    unimodular_hits = []
-    invertible_hits = []
+    hits = []  # (map, unimodular, d, ratios) for each map that solves the ratio condition
     for c in maps:
-        X_support = {}
-        for (i, j), v in sup1.items():
-            ci, cj = c.index(i), c.index(j)  # X[a,b] = T1[c(a), c(b)]
-            X_support[(ci, cj)] = v
-        consistent, unimodular, d, ratios = _ratio_solution(X_support, sup2, n)
-        if consistent:
-            entry = {"map": c, "d": d, "ratios": ratios}
-            invertible_hits.append(entry)
-            if unimodular:
-                unimodular_hits.append(entry)
-
-    def ratio_record(hits):
-        out = []
-        for h in hits:
-            out.append(
-                {
-                    "map": list(h["map"]),
-                    "diagonal": [complex(v) for v in h["d"]],
-                    "ratios": {f"{i},{j}": complex(r) for (i, j), r in h["ratios"].items()},
-                }
-            )
-        return out
-
-    if unimodular_hits:
-        hit = unimodular_hits[0]
-        U = np.diag(hit["d"] / np.abs(hit["d"])) @ permutation_matrix([j + 1 for j in hit["map"]])
-        claims = ("curvature", "d_zbar")
-        _verify_witness(U, K1, K2, T1, T2, claims)
-        return EquivalenceReport(
-            verdict=Verdict.EQUIVALENT,
-            witness=U,
-            witness_claims=claims,
-            certificate={
-                "level": "(0,1)",
-                "reason": "unitary intertwiner found",
-                "solutions": ratio_record(unimodular_hits),
-            },
-            surviving_maps=tuple(h["map"] for h in invertible_hits),
-        )
+        # X[a,b] = T1[c(a), c(b)]
+        solution = _ratio_solution({(c.index(i), c.index(j)): v for (i, j), v in sup1.items()},
+                                   sup2, n)
+        if solution is not None:
+            hits.append((c, *solution))
+    surviving = tuple(c for c, *_ in hits)
+    unitary = [h for h in hits if h[1]]
+    if unitary:
+        c, _, d, _ = unitary[0]
+        U = np.diag(d / np.abs(d)) @ permutation_matrix([j + 1 for j in c])
+        return witnessed(U, ("curvature", "d_zbar"), {
+            "reason": "unitary intertwiner found", "solutions": _solutions(unitary),
+        }, surviving)
 
     repeated = any(
         abs(d1[i] - d1[j]) <= TOL_EIG for i in range(n) for j in range(i + 1, n)
     )
-    if invertible_hits and repeated:
+    if hits and repeated:
         # Repeated-eigenvalue regime: an invertible diagonal intertwiner with
         # consistent ratios counts as equivalent (metric-weighted unitary in
         # the raw frames); the witness covers the curvature level only and the
         # certificate carries the ratio data.
-        hit = invertible_hits[0]
-        U = permutation_matrix([j + 1 for j in hit["map"]])
-        claims = ("curvature",)
-        _verify_witness(U, K1, K2, T1, T2, claims)
-        return EquivalenceReport(
-            verdict=Verdict.EQUIVALENT,
-            witness=U,
-            witness_claims=claims,
-            certificate={
-                "level": "(0,1)",
-                "reason": "invertible diagonal intertwiner (ratio condition); "
-                "repeated curvature eigenvalue permits a metric-weighted unitary",
-                "solutions": ratio_record(invertible_hits),
-            },
-            surviving_maps=tuple(h["map"] for h in invertible_hits),
-        )
-    if invertible_hits:
-        return EquivalenceReport(
-            verdict=Verdict.EIGENVALUES_MATCH_ONLY,
-            witness=None,
-            witness_claims=(),
-            certificate={
-                "level": "(0,1)",
-                "reason": "derivative intertwiner requires non-unimodular scaling "
-                "(modulus mismatch) and the curvature spectrum is simple",
-                "solutions": ratio_record(invertible_hits),
-            },
-            surviving_maps=(),
-        )
-    return EquivalenceReport(
-        verdict=Verdict.EIGENVALUES_MATCH_ONLY,
-        witness=None,
-        witness_claims=(),
-        certificate={
+        return witnessed(permutation_matrix([j + 1 for j in hits[0][0]]), ("curvature",), {
+            "reason": "invertible diagonal intertwiner (ratio condition); "
+            "repeated curvature eigenvalue permits a metric-weighted unitary",
+            "solutions": _solutions(hits),
+        }, surviving)
+    if hits:
+        return EquivalenceReport(Verdict.EIGENVALUES_MATCH_ONLY, {
             "level": "(0,1)",
-            "reason": "no eigenvalue-compatible index map carries one derivative "
-            "support onto the other (ratio condition unsatisfiable)",
-        },
-        surviving_maps=(),
-    )
+            "reason": "derivative intertwiner requires non-unimodular scaling "
+            "(modulus mismatch) and the curvature spectrum is simple",
+            "solutions": _solutions(hits),
+        })
+    return EquivalenceReport(Verdict.EIGENVALUES_MATCH_ONLY, {
+        "level": "(0,1)",
+        "reason": "no eigenvalue-compatible index map carries one derivative "
+        "support onto the other (ratio condition unsatisfiable)",
+    })
 
 
 def zzbar_distinguishes(inv1: PointInvariants, inv2: PointInvariants, maps) -> bool:
@@ -342,15 +298,10 @@ def zzbar_distinguishes(inv1: PointInvariants, inv2: PointInvariants, maps) -> b
 def full_report(spec1: KernelSpec, spec2: KernelSpec) -> EquivalenceReport:
     """Taylor -> invariants at 0 -> pair decider -> (1,1) distinguisher."""
     if spec1.rank != spec2.rank:
-        return EquivalenceReport(
-            verdict=Verdict.DISTINCT,
-            witness=None,
-            witness_claims=(),
-            certificate={
-                "level": "spectrum",
-                "reason": f"bundle ranks differ ({spec1.rank} vs {spec2.rank})",
-            },
-        )
+        return EquivalenceReport(Verdict.DISTINCT, {
+            "level": "spectrum",
+            "reason": f"bundle ranks differ ({spec1.rank} vs {spec2.rank})",
+        })
     inv1 = invariants_at_zero(kernel_taylor(spec1, INVARIANT_ORDER))
     inv2 = invariants_at_zero(kernel_taylor(spec2, INVARIANT_ORDER))
     report = simultaneous_pair_equiv(inv1, inv2)

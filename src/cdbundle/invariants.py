@@ -40,13 +40,12 @@ INVARIANT_ORDER = 2
 
 @dataclass(frozen=True)
 class PointInvariants:
-    """Curvature and covariant derivatives at one point, orthonormal frame.
+    """Curvature and covariant derivatives at 0, orthonormal frame.
 
     d_zzbar is optional because the closed-form route for the homogeneous
     family produces only the curvature and the (0,1) derivative.
     """
 
-    point: complex
     curvature: np.ndarray
     d_zbar: np.ndarray
     d_zzbar: Optional[np.ndarray]
@@ -135,7 +134,6 @@ def invariants_at_zero(K: MatrixPowerSeries2) -> PointInvariants:
     norm = _normalized_rows(K, INVARIANT_ORDER + 1)
     a11, a12, a22 = norm[1, 1], norm[1, 2], norm[2, 2]
     return PointInvariants(
-        point=0.0,
         curvature=a11.T,
         d_zbar=2.0 * a12.T,
         d_zzbar=(2.0 * (2.0 * a22 - a11 @ a11)).T,
@@ -187,7 +185,7 @@ def homogeneous_invariants_closed(lam: float, mu, m: int) -> PointInvariants:
         - Binv @ S @ B @ Sh @ Binv @ S
     )
     a12 = Bhalf @ inner @ Bhalf
-    return PointInvariants(point=0.0, curvature=a11.T, d_zbar=2.0 * a12.T, d_zzbar=None)
+    return PointInvariants(curvature=a11.T, d_zbar=2.0 * a12.T, d_zzbar=None)
 
 
 def transport_eigenvalues(inv0: PointInvariants, z: complex) -> np.ndarray:
@@ -199,6 +197,4 @@ def transport_eigenvalues(inv0: PointInvariants, z: complex) -> np.ndarray:
     """
     if abs(z) >= 1.0:
         raise DiscDomainError(f"|z| must be < 1, got {abs(z)}")
-    if inv0.point != 0:
-        raise ValueError("transport starts from invariants at the origin")
     return inv0.curvature_eigenvalues() / (1.0 - abs(z) ** 2) ** 2

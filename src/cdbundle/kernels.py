@@ -425,9 +425,14 @@ class Homogeneous(KernelSpec):
         P = np.array([power / math.factorial(r) for r, power in enumerate(powers)])
         F = np.einsum("lab,b,kdb->klad", P, self.triangular.d, P.conj())
         a = 2 * self.lam - m + np.add.outer(np.arange(m + 1), np.arange(m + 1))
+        with np.errstate(over="ignore"):
+            c = [rising(a, t) / math.factorial(t) for t in range(N + 1)]
+        if not all(np.isfinite(ct).all() for ct in c):
+            raise ValueError(f"lambda {self.lam!r} is too large: the coefficients "
+                             "(a)_t / t! of (1-x)^-a, a = 2 lambda - m + i + j, are not finite")
         out = np.zeros_like(F)
         for t in range(N + 1):
-            out[t:, t:] += rising(a, t) / math.factorial(t) * F[: N + 1 - t, : N + 1 - t]
+            out[t:, t:] += c[t] * F[: N + 1 - t, : N + 1 - t]
         return MatrixPowerSeries2(out)
 
 

@@ -20,6 +20,7 @@ from cdbundle.cli import (
     main,
 )
 from cdbundle.kernels import spec_to_dict
+from cdbundle.reproduce import SCENARIOS
 from conftest import zoo_fixtures
 
 BERGMAN2 = {"type": "bergman", "lambda": 2.0}
@@ -446,22 +447,40 @@ def test_invariants_overflow_is_one_numeric_error(tmp_path):
     assert_one_numeric_error(run_process(["invariants", "--kernel", path]))
 
 
+def one_spec_argv(command, path, tmp_path):
+    return {
+        "invariants": ["invariants", "--kernel", path],
+        "equiv": ["equiv", "--left", path, "--right", path],
+        "field": ["field", "--kernel", path, "--grid", "3", "--out", str(tmp_path / "f.csv")],
+    }[command]
+
+
+def assert_one_parse_error(proc, field):
+    assert proc.returncode == EXIT_PARSE and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {field} "), proc.stderr
+    assert "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("command", ["invariants", "equiv", "field"])
 @pytest.mark.parametrize("mu", [[1.0, 1e200, 1.0], [1.0, 1e154, 1e154]])
 def test_overflowing_mu_is_one_parse_error(tmp_path, command, mu):
     # 1e200^2 overflowed Python's float power (exit 3, "Numerical result out of range");
     # d = L mu' overflowed in the matmul for 1e154 (a numpy warning, then exit 2)
     path = write(tmp_path, "hom.json", {**HOM, "mu": mu})
-    argv = {
-        "invariants": ["invariants", "--kernel", path],
-        "equiv": ["equiv", "--left", path, "--right", path],
-        "field": ["field", "--kernel", path, "--grid", "3", "--out", str(tmp_path / "f.csv")],
-    }[command]
-    proc = run_process(argv)
-    assert proc.returncode == EXIT_PARSE and proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: mu "), proc.stderr
-    assert "Warning" not in proc.stderr
+    assert_one_parse_error(run_process(one_spec_argv(command, path, tmp_path)), "mu")
+
+
+@pytest.mark.parametrize("command", ["invariants", "equiv", "field"])
+def test_overflowing_lambda_is_one_error_line(tmp_path, command):
+    # the rising factorials (2 lambda - m)_t of the Taylor lattice overflowed: two numpy
+    # warnings, then exit 2 with "series coefficients contains non-finite entries"
+    path = write(tmp_path, "hom.json", {"type": "homogeneous", "lambda": 1e200, "mu": [1, 2], "m": 1})
+    proc = run_process(one_spec_argv(command, path, tmp_path))
+    if command == "field":  # the oracle never builds the lattice; its torus overflows first
+        assert_one_numeric_error(proc)
+    else:
+        assert_one_parse_error(proc, "lambda")
 
 
 def test_large_finite_mu_stays_a_numeric_error(tmp_path, capsys):
@@ -501,11 +520,11 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "numeric error" in err
 
 
-def test_reproduce_cases_pass(capsys):
-    for case in ("rank2", "example1"):
-        code, out, _ = run(capsys, ["reproduce", "--case", case])
-        assert code == EXIT_OK, out
-        assert "FAIL" not in out
+@pytest.mark.parametrize("case", sorted(SCENARIOS))
+def test_reproduce_cases_pass(capsys, case):
+    code, out, _ = run(capsys, ["reproduce", "--case", case])
+    assert code == EXIT_OK, out
+    assert "FAIL" not in out
 
 
 def test_canonical_json_formatting():

@@ -28,7 +28,6 @@ from conftest import zoo_fixtures
 def make_inv(diag, zbar=None, zzbar=None):
     n = len(diag)
     return PointInvariants(
-        point=0.0,
         curvature=np.diag(np.asarray(diag, dtype=complex)),
         d_zbar=np.zeros((n, n), complex) if zbar is None else np.asarray(zbar, complex),
         d_zzbar=None if zzbar is None else np.diag(np.asarray(zzbar, dtype=complex)),
@@ -218,7 +217,6 @@ def test_brute_force_agreement_distinct_eigenvalues(rng):
 
 def test_unsupported_shapes_raise():
     bad_curv = PointInvariants(
-        point=0.0,
         curvature=np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex),
         d_zbar=np.zeros((2, 2), complex),
         d_zzbar=None,
@@ -282,3 +280,79 @@ def test_full_report_identical_specs():
     spec = Jet(alpha=1.0, beta=2.0, k=2)
     rep = full_report(spec, spec)
     assert rep.verdict is Verdict.EQUIVALENT
+
+
+UNITARY = ("curvature", "d_zbar")
+BRANCHES = [
+    # (id, inputs, verdict, level, reason, certificate keys beyond level/reason,
+    #  witness_claims, surviving_maps, vanishing_side)
+    ("rank mismatch",
+     lambda: full_report(BergmanPower(1.0), Jet(alpha=1.0, beta=1.0, k=1)),
+     Verdict.DISTINCT, "spectrum", "bundle ranks differ (1 vs 2)", [], (), (), None),
+    ("spectra differ",
+     lambda: simultaneous_pair_equiv(make_inv([1.0, 2.0]), make_inv([1.0, 2.5])),
+     Verdict.DISTINCT, "spectrum", "curvature eigenvalue multisets differ",
+     ["spectrum_1", "spectrum_2"], (), (), None),
+    ("both vanish",
+     lambda: simultaneous_pair_equiv(make_inv([1.0, 2.0]), make_inv([2.0, 1.0])),
+     Verdict.EQUIVALENT, "(0,1)", "both derivatives vanish", [], UNITARY, ((1, 0),), None),
+    ("one side vanishes",
+     lambda: simultaneous_pair_equiv(make_inv([1.0, 2.0, 9.0], shift_upper(3, {(0, 1): 1.5})),
+                                     make_inv([1.0, 2.0, 9.0])),
+     Verdict.EIGENVALUES_MATCH_ONLY, "(0,1)", "derivative vanishes on one side only",
+     ["vanishing_side"], (), (), 2),
+    ("unitary intertwiner",
+     lambda: simultaneous_pair_equiv(make_inv([1.0, 2.0, 9.0], shift_upper(3, {(0, 1): 1.5j})),
+                                     make_inv([1.0, 2.0, 9.0], shift_upper(3, {(0, 1): -1.5}))),
+     Verdict.EQUIVALENT, "(0,1)", "unitary intertwiner found", ["solutions"], UNITARY,
+     ((0, 1, 2),), None),
+    ("unitary intertwiner, a non-unimodular map survives too",
+     lambda: simultaneous_pair_equiv(
+         make_inv([1.0, 1.0, 3.0], shift_upper(3, {(0, 2): 2.0, (1, 2): 3.0})),
+         make_inv([1.0, 1.0, 3.0], shift_upper(3, {(0, 2): 2.0, (1, 2): 3.0}))),
+     Verdict.EQUIVALENT, "(0,1)", "unitary intertwiner found", ["solutions"], UNITARY,
+     ((0, 1, 2), (1, 0, 2)), None),
+    ("metric-weighted",
+     lambda: simultaneous_pair_equiv(make_inv([1.0, 1.0, 3.0], shift_upper(3, {(0, 2): 2.0})),
+                                     make_inv([1.0, 1.0, 3.0], shift_upper(3, {(1, 2): 3.0}))),
+     Verdict.EQUIVALENT, "(0,1)",
+     "invertible diagonal intertwiner (ratio condition); "
+     "repeated curvature eigenvalue permits a metric-weighted unitary",
+     ["solutions"], ("curvature",), ((1, 0, 2),), None),
+    ("modulus mismatch",
+     lambda: simultaneous_pair_equiv(make_inv([1.0, 2.0, 9.0], shift_upper(3, {(0, 1): 1.5})),
+                                     make_inv([1.0, 2.0, 9.0], shift_upper(3, {(0, 1): 3.0}))),
+     Verdict.EIGENVALUES_MATCH_ONLY, "(0,1)",
+     "derivative intertwiner requires non-unimodular scaling (modulus mismatch) "
+     "and the curvature spectrum is simple",
+     ["solutions"], (), (), None),
+    ("no map carries the support",
+     lambda: simultaneous_pair_equiv(make_inv([1.0, 2.0, 9.0], shift_upper(3, {(0, 1): 1.0})),
+                                     make_inv([1.0, 2.0, 9.0], shift_upper(3, {(1, 2): 1.0}))),
+     Verdict.EIGENVALUES_MATCH_ONLY, "(0,1)",
+     "no eigenvalue-compatible index map carries one derivative support onto the other "
+     "(ratio condition unsatisfiable)",
+     [], (), (), None),
+    ("(1,1)",
+     lambda: full_report(DirectSum([BergmanPower(1.0), Jet(alpha=1.0, beta=5.0, k=1)]),
+                         Jet(alpha=1.0, beta=2.0, k=2)),
+     Verdict.EIGENVALUES_MATCH_ONLY, "(1,1)",
+     "order-(1,1) derivative diagonals differ under every intertwiner surviving the (0,1) "
+     "analysis",
+     ["solutions", "zzbar_diag_1", "zzbar_diag_2"], ("curvature",), ((0, 1, 2),), None),
+]
+
+
+@pytest.mark.parametrize(
+    "build, verdict, level, reason, keys, claims, maps, side",
+    [case[1:] for case in BRANCHES], ids=[case[0] for case in BRANCHES])
+def test_every_decider_branch(build, verdict, level, reason, keys, claims, maps, side):
+    rep = build()
+    cert = rep.certificate
+    assert (rep.verdict, cert["level"], cert["reason"]) == (verdict, level, reason)
+    assert sorted(cert) == sorted(["level", "reason", *keys])
+    assert rep.witness_claims == claims
+    assert rep.surviving_maps == maps
+    assert cert.get("vanishing_side") == side
+    # every witness names its claims; a (1,1) split keeps the (0,1) witness
+    assert (rep.witness is not None) == bool(claims)

@@ -462,7 +462,6 @@ def test_normalize_rejects_degenerate_constant_term():
 def test_point_invariants_validation():
     with pytest.raises(ValueError):
         PointInvariants(
-            point=0.0,
             curvature=np.array([[1.0, 1.0], [0.0, 1.0]]),
             d_zbar=np.zeros((2, 2)),
             d_zzbar=None,
