@@ -107,6 +107,8 @@ def permutation_matrix(sigma: Sequence[int]) -> np.ndarray:
 
 def _check_disc(z, w) -> None:
     """Raise unless every point pair of the (broadcast) arrays lies in the disc."""
+    if np.abs(z).max(initial=0.0) < 1.0 and np.abs(w).max(initial=0.0) < 1.0:
+        return  # NaN fails the comparison and falls through to the search below
     outside = ~((np.abs(z) < 1.0) & (np.abs(w) < 1.0))
     if outside.any():
         first = np.flatnonzero(outside)[0]

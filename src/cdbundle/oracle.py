@@ -31,7 +31,8 @@ diagonal of K, and two products with the first rows of the DFT matrix.
 The formulas above then act on truncated jets, polynomials in u and v with
 d -> d/du, dbar -> d/dv and products truncated, read at u = v = 0: forward
 substitution solves h G = dh, and the invariants are cells of G.  The
-curvature reads a 2 x 2 jet (n = 8), the derivatives a 3 x 3 jet (n = 12).
+curvature reads a 2 x 2 jet (n = 6, 36 pairs), the derivatives a 3 x 3 jet
+(n = 12, 144 pairs), each on its own radius (below).
 The triple at 0 appends the centre u = v = 0 to the column and the row of
 its call, so the same call gives h(0) = K(0, 0)^t for the orthonormal frame;
 the DFT reads the n x n torus block only, and the jet keeps its bytes.
@@ -42,13 +43,19 @@ not both 0, so the error grows with the growth of the coefficients (like
 k^(alpha + beta) for the jet kernels, which no spec check bounds) and falls
 geometrically as n grows.  Roundoff: the values carry a relative error of
 about eps, which the division by r^(a+b) amplifies to about eps / r^(a+b).
-The coefficients of H at z0 grow like (1 - |z0|)^-(a+b), so the radius
-r = 0.05 (1 - |z0|) keeps both terms, relative to the coefficients, the
-same everywhere in the disc.  Worst deviations from the series path at 0,
-curvature / (0,1) / (1,1): 8.2e-14 / 2.1e-13 / 8.7e-11 on the 12-kernel
-fixture set, 1.1e-13 / 2.5e-13 / 7.8e-11 on the 32-spec held-out corpus and
-9.5e-13 / 1.7e-12 / 1.1e-9 on a 36-spec wide sample with exponents up to 60
-(all in the test suite).
+The coefficients of H at z0 grow like (1 - |z0|)^-(a+b), so a radius
+r = f (1 - |z0|) keeps both terms, relative to the coefficients, the same
+everywhere in the disc.  Round-off bounds the 3 x 3 jet, which divides by
+r^4: the derivatives and the triple at 0 take f = 0.05.  Aliasing bounds the
+2 x 2 jet of the curvature, which divides by r^2 only: it takes f = 0.01,
+where 6 points per circle reach the round-off floor of eps / r^2.  Worst
+deviations from the series path at 0, curvature / (0,1) / (1,1):
+8.2e-14 / 2.1e-13 / 8.7e-11 on the 12-kernel fixture set, 1.1e-13 / 2.5e-13 /
+7.8e-11 on the 32-spec held-out corpus and 9.5e-13 / 1.7e-12 / 1.1e-9 on a
+36-spec wide sample with exponents up to 60.  Off 0, the curvature
+eigenvalues follow the (1 - |z|^2)^-2 transport of those at 0 to 3.0e-10
+relative on the held-out corpus and 1.2e-5 on the wide sample
+(jet(40, 40, 2)), at |z| up to 0.52 (all in the test suite).
 """
 
 from __future__ import annotations
@@ -62,10 +69,14 @@ from .kernels import KernelSpec
 
 # largest accepted deviation of the oracle from the series path at 0
 ORACLE_CROSS_CHECK_TOL = 1e-5
-# torus radius, as a fraction of the distance 1 - |z| to the boundary
-_RADIUS = 0.05
-# torus points per circle for the curvature (2 x 2 jet) and the derivatives (3 x 3 jet)
-_N_CURVATURE = 8
+# Torus radius, as a fraction of the distance 1 - |z| to the boundary, and points per circle,
+# per route (error model above).  The curvature's 2 x 2 jet divides by r^2 at most, so at
+# r = 0.01 round-off stays near eps / r^2 = 2e-12, and aliasing, which falls like r^n, is
+# below that from n = 6.  The derivatives' 3 x 3 jet divides by r^4, which at r = 0.01 would
+# cost eps / r^4 = 2e-8, so it keeps r = 0.05 and the n = 12 that aliasing needs there.
+_RADIUS_CURVATURE = 0.01
+_N_CURVATURE = 6
+_RADIUS_DERIVATIVES = 0.05
 _N_DERIVATIVES = 12
 
 
@@ -83,19 +94,20 @@ def _torus(depth: int, n: int, centre: bool = False) -> tuple:
     return points[:, None], np.conj(points)[None, :], dft, exponents
 
 
-def _jets(spec: KernelSpec, z: complex, depth: int, n: int, centre: bool = False):
+def _jets(spec: KernelSpec, z: complex, depth: int, n: int, radius: float,
+          centre: bool = False):
     """c[a, b] for a, b < depth: the Taylor coefficients of H(z + u, conj z + v).
 
     Shape (depth, depth, rank, rank).  One ``evaluate`` call on the n x n
-    torus |u| = |v| = r, then the DFT rows times the points of u and of v;
-    swapping the last two axes transposes K into h.  With `centre`, the same
+    torus |u| = |v| = r = radius (1 - |z|), then the DFT rows times the points
+    of u and of v; swapping the last two axes transposes K into h.  With `centre`, the same
     call also covers the pair (z, z), and the pair (c, h(z)) is returned.
     Raises OverflowError when the jet is not finite, as when the kernel
     overflows on the torus.
     """
     if abs(z) >= 1.0:
         raise DiscDomainError(f"|z| must be < 1, got {abs(z)}")
-    r = _RADIUS * (1.0 - abs(z))
+    r = radius * (1.0 - abs(z))
     u, w, dft, power = _torus(depth, n, centre)
     K = spec.evaluate(z + r * u, z + r * w)  # indexed [j, k, x, y]
     m = K.shape[-1]
@@ -130,20 +142,23 @@ def _invariants(c: np.ndarray) -> tuple:
 
 
 def curvature_fd(spec: KernelSpec, z: complex) -> np.ndarray:
-    """Raw-frame curvature h^{-1} (c11 - c01 h^{-1} c10) at z: G[0,1] of a 2 x 2 jet."""
-    c = _jets(spec, z, 2, _N_CURVATURE)
-    h_inv = np.linalg.inv(c[0, 0])
-    return h_inv @ (c[1, 1] - c[0, 1] @ h_inv @ c[1, 0])
+    """Raw-frame curvature h^{-1} (c11 - c01 h^{-1} c10) at z: G[0,1] of a 2 x 2 jet.
+
+    With A = h(z)^{-1} c as in :func:`_invariants`, that is A[1,1] - A[0,1] A[1,0].
+    """
+    c = _jets(spec, z, 2, _N_CURVATURE, _RADIUS_CURVATURE)
+    (_, a01), (a10, a11) = np.linalg.solve(c[0, 0], c)
+    return a11 - a01 @ a10
 
 
 def covd_zbar_fd(spec: KernelSpec, z: complex) -> np.ndarray:
     """Raw-frame (0,1) covariant derivative: dbar of the curvature field."""
-    return _invariants(_jets(spec, z, 3, _N_DERIVATIVES))[1]
+    return _invariants(_jets(spec, z, 3, _N_DERIVATIVES, _RADIUS_DERIVATIVES))[1]
 
 
 def covd_zzbar_fd(spec: KernelSpec, z: complex) -> np.ndarray:
     """Raw-frame (1,1) covariant derivative dbar( d K + [G, K] ) at z."""
-    return _invariants(_jets(spec, z, 3, _N_DERIVATIVES))[2]
+    return _invariants(_jets(spec, z, 3, _N_DERIVATIVES, _RADIUS_DERIVATIVES))[2]
 
 
 def to_orthonormal_frame(M: np.ndarray, h0: np.ndarray) -> np.ndarray:
@@ -184,12 +199,13 @@ def oracle_invariants_at_zero(spec: KernelSpec) -> dict:
     from the centre pair of the jet's own torus call and checked by
     :func:`to_orthonormal_frame`.
     """
-    c, h0 = _jets(spec, 0.0, 3, _N_DERIVATIVES, centre=True)
+    c, h0 = _jets(spec, 0.0, 3, _N_DERIVATIVES, _RADIUS_DERIVATIVES, centre=True)
     raw = np.stack(_invariants(c))
     return dict(zip(("curvature", "d_zbar", "d_zzbar"), to_orthonormal_frame(raw, h0)))
 
 
 def curvature_eigenvalues_fd(spec: KernelSpec, z: complex) -> np.ndarray:
     """Ascending real curvature eigenvalues at z (frame independent)."""
-    vals = np.linalg.eigvals(curvature_fd(spec, z))
-    return np.sort(vals.real)
+    vals = np.linalg.eigvals(curvature_fd(spec, z)).real
+    vals.sort()
+    return vals

@@ -88,6 +88,15 @@ def wide_sample():
     ]
 
 
+def field_grid_points(rng):
+    """The jittered points of the benchmark's ``field_grid``: the 81 points of the 11 x 11
+    grid on [-0.5, 0.5]^2 with |z| <= 0.5, each moved by up to 0.02 in x and in y."""
+    axis = np.linspace(-0.5, 0.5, 11)
+    grid = [complex(x, y) for y in axis for x in axis if np.hypot(x, y) <= 0.5 + 1e-12]
+    shift = rng.uniform(-0.02, 0.02, size=(len(grid), 2))
+    return [z + complex(dx, dy) for z, (dx, dy) in zip(grid, shift)]
+
+
 def jet_curvature_errors(monkeypatch, sizes):
     """|curvature - 3 / (1 - 0.25)^2| of BergmanPower(3) at z = 0.5 for each torus size."""
     errs = []

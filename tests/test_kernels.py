@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import sys
 import threading
 
@@ -20,7 +21,13 @@ from cdbundle import (
     spec_to_dict,
 )
 from cdbundle.kernels import falling, permutation_matrix, rising, shift_matrix, weighted_shift
-from cdbundle.oracle import _torus
+from cdbundle.oracle import (
+    _N_CURVATURE,
+    _N_DERIVATIVES,
+    _RADIUS_CURVATURE,
+    _RADIUS_DERIVATIVES,
+    _torus,
+)
 from conftest import fourier_lattice, zoo_fixtures
 
 SAMPLE_POINTS = [(0.3, 0.2), (0.1 + 0.25j, -0.3 + 0.1j), (-0.35j, 0.2 + 0.2j)]
@@ -311,6 +318,25 @@ def test_batched_evaluate_checks_every_point():
             spec.evaluate(z.real, np.full(5, 1.5))
 
 
+def test_disc_check_names_the_first_pair_outside():
+    # every |z|, |w| < 1 returns at once; a NaN, or a point on the unit circle among points
+    # inside it, still raises and names the first offending pair of the broadcast arrays
+    col = (0.3 * np.exp(2j * np.pi * np.arange(4) / 4))[:, None]
+    row = np.conj(col).T
+    for bad in (np.nan, complex(np.nan, 0.1), 1.0, -1j):
+        bad_col, bad_row = col.copy(), row.copy()
+        bad_col[2, 0] = bad_row[0, 3] = bad
+        # the first offending pairs: row 2 of z against column 0, row 0 against column 3 of w
+        for z, w, (j, k) in ((bad_col, row, (2, 0)), (col, bad_row, (0, 3))):
+            pair = re.escape(f"point ({z[j, 0]}, {w[0, k]}) outside")
+            for name, spec in zoo_fixtures():
+                with pytest.raises(DiscDomainError, match=pair):
+                    spec.evaluate(z, w)
+    for name, spec in zoo_fixtures():
+        empty = spec.evaluate(np.empty((0, 1), dtype=complex), row)
+        assert empty.shape == (0, 4, spec.rank, spec.rank), name
+
+
 def _reference_evaluate(spec, z, w):
     """K(z, w) by dense formulas, for a byte-for-byte comparison with evaluate.
 
@@ -380,11 +406,12 @@ def _byte_specs():
 
 
 def _tori():
-    """The oracle's tori, n = 8 and 12, at three centres, as a column of z and a row of w."""
-    for n in (8, 12):
+    """The oracle's tori, each route's n and radius, at three centres, as a column of z and a
+    row of w."""
+    for n, radius in ((_N_CURVATURE, _RADIUS_CURVATURE), (_N_DERIVATIVES, _RADIUS_DERIVATIVES)):
         u, v, _, _ = _torus(3, n)
         for z0 in (0.0, 0.3 - 0.2j, -0.9):
-            r = 0.05 * (1 - abs(z0))
+            r = radius * (1 - abs(z0))
             yield z0 + r * u, z0 + r * v
 
 

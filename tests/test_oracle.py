@@ -20,10 +20,17 @@ from cdbundle import (
     kernel_taylor,
     oracle_invariants_at_zero,
     to_orthonormal_frame,
+    transport_eigenvalues,
 )
 from cdbundle import oracle
 from cdbundle.oracle import ORACLE_CROSS_CHECK_TOL
-from conftest import held_out_corpus, jet_curvature_errors, wide_sample, zoo_fixtures
+from conftest import (
+    field_grid_points,
+    held_out_corpus,
+    jet_curvature_errors,
+    wide_sample,
+    zoo_fixtures,
+)
 
 
 class ConstantMetric:
@@ -103,10 +110,11 @@ def test_curvature_constant_metric_vanishes():
     assert np.abs(covd_zzbar_fd(const, 0.0)).max() < 1e-8
 
 
-def dense_jets(spec, z, depth, n):
+def dense_jets(spec, z, depth, n, radius):
     """c[a, b] by the trapezoid double sum over the n x n torus, one point pair at a time:
-    the sum of H(z + u, conj z + v) u^-a v^-b / n^2 over u = r q^j, v = r q^k."""
-    r = 0.05 * (1 - abs(z))
+    the sum of H(z + u, conj z + v) u^-a v^-b / n^2 over u = r q^j, v = r q^k,
+    r = radius (1 - |z|)."""
+    r = radius * (1 - abs(z))
     q = np.exp(2j * np.pi / n)
     c = np.zeros((depth, depth, spec.rank, spec.rank), dtype=complex)
     for j in range(n):
@@ -124,13 +132,15 @@ def dense_jets(spec, z, depth, n):
 def test_jets_match_the_dense_trapezoid_sum(z):
     # pins the axis order of the two DFT products and the transpose of K into h; the jet
     # kernels are not symmetric, so a K in place of h^t shows.  Both sides are compared
-    # times r^(a+b): the division by it amplifies round-off by up to r^-4 = 1.6e5
-    r = 0.05 * (1 - abs(z))
-    for depth, n in ((2, oracle._N_CURVATURE), (3, oracle._N_DERIVATIVES)):
+    # times r^(a+b): the division by it amplifies round-off by up to r^-2 = 1e4 on the
+    # curvature's torus and r^-4 = 1.6e5 on the derivatives'
+    for depth, n, radius in ((2, oracle._N_CURVATURE, oracle._RADIUS_CURVATURE),
+                             (3, oracle._N_DERIVATIVES, oracle._RADIUS_DERIVATIVES)):
+        r = radius * (1 - abs(z))
         scale = r ** np.add.outer(np.arange(depth), np.arange(depth))[..., None, None]
         for name, spec in zoo_fixtures():
-            got = oracle._jets(spec, z, depth, n) * scale
-            want = dense_jets(spec, z, depth, n) * scale
+            got = oracle._jets(spec, z, depth, n, radius) * scale
+            want = dense_jets(spec, z, depth, n, radius) * scale
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, depth)
 
 
@@ -165,7 +175,7 @@ def block_toeplitz_invariants(c):
 
 def test_forward_substitution_matches_the_block_toeplitz_solve():
     rng = np.random.default_rng(23)
-    jets = [oracle._jets(spec, z, 3, oracle._N_DERIVATIVES)
+    jets = [oracle._jets(spec, z, 3, oracle._N_DERIVATIVES, oracle._RADIUS_DERIVATIVES)
             for _, spec in zoo_fixtures() for z in (0.0, 0.3 - 0.2j)]
     for rank in (1, 2, 3, 4):
         for _ in range(5):
@@ -177,7 +187,7 @@ def test_forward_substitution_matches_the_block_toeplitz_solve():
     for c in jets:
         got, want = np.stack(oracle._invariants(c)), np.stack(block_toeplitz_invariants(c))
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        # the curvature cell is the curvature route's written-out formula
+        # the curvature cell is h^-1 (c11 - c01 h^-1 c10), the formula of the curvature route
         h_inv = np.linalg.inv(c[0, 0])
         curvature = h_inv @ (c[1, 1] - c[0, 1] @ h_inv @ c[1, 0])
         got = oracle._invariants(c)[0]
@@ -378,12 +388,29 @@ def test_oracle_worst_residuals_on_wide_sample():
 
 
 def test_jet_convergence_is_geometric_in_n_bergman(monkeypatch):
-    # aliasing falls geometrically in n: measured 3.3e-5, 2.6e-8 and 1.5e-11 at n = 4, 6 and 8
-    # (ratios 1 286 and 1 671), then a roundoff floor of about 1e-13 from n = 10
-    errs = jet_curvature_errors(monkeypatch, (4, 6, 8, 10))
-    for e0, e1 in zip(errs[:2], errs[1:3]):
-        assert 1000.0 <= e0 / e1 <= 2200.0, errs
-    assert errs[3] <= 1e-12, errs
+    # aliasing falls geometrically in n: measured 9.5e-4, 7.9e-6, 5.3e-8 and 3.1e-10 at
+    # n = 2, 3, 4 and 5 (ratios 120, 150 and 170), then a roundoff floor: 9.5e-13 at n = 6,
+    # 1.9e-13 at n = 8 and 4.4e-13 at n = 10
+    errs = jet_curvature_errors(monkeypatch, (2, 3, 4, 5, 10))
+    for e0, e1 in zip(errs[:3], errs[1:4]):
+        assert 100.0 <= e0 / e1 <= 220.0, errs
+    assert errs[-1] <= 1e-12, errs
+
+
+@pytest.mark.parametrize("corpus, bound", [(held_out_corpus, 1e-9), (wide_sample, 3e-5)])
+def test_field_follows_the_transport_of_the_invariants_at_zero(corpus, bound):
+    # the curvature route against (1 - |z|^2)^-2 times the series eigenvalues at 0, relative
+    # to the largest eigenvalue, at the jittered points of the benchmark's field_grid (its
+    # seed, one draw per spec); measured 3.0e-10 on the held-out corpus (jet_8) and 1.2e-5 on
+    # the wide sample (jet(40, 40, 2), whose aliasing grows with the exponents).  An 8 x 8
+    # torus at r = 0.05 (1 - |z|) read 1.3e-8 and 1.2e-2
+    rng = np.random.default_rng(20240817)
+    for name, spec in corpus():
+        inv0 = invariants_at_zero(kernel_taylor(spec, 4))
+        for z in field_grid_points(rng):
+            want = transport_eigenvalues(inv0, z)
+            dev = np.abs(curvature_eigenvalues_fd(spec, z) - want).max() / np.abs(want).max()
+            assert dev <= bound, (name, z, dev)
 
 
 def test_scalar_transformation_law():
