@@ -52,7 +52,6 @@ from .kernels import (
     Jet,
     KernelSpec,
     Permuted,
-    TriangularData,
     kernel_taylor,
     spec_from_dict,
     spec_to_dict,

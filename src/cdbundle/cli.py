@@ -115,11 +115,7 @@ def cmd_invariants(args) -> int:
     # a kernel that overflows on the oracle's torus ends in its OverflowError, not in warnings
     with np.errstate(over="ignore", invalid="ignore"):
         oracle = oracle_invariants_at_zero(spec)
-    residuals = {
-        "curvature": float(np.abs(inv.curvature - oracle["curvature"]).max()),
-        "d_zbar": float(np.abs(inv.d_zbar - oracle["d_zbar"]).max()),
-        "d_zzbar": float(np.abs(inv.d_zzbar - oracle["d_zzbar"]).max()),
-    }
+    residuals = {k: float(np.abs(getattr(inv, k) - v).max()) for k, v in oracle.items()}
     report = {
         "schema": SCHEMA,
         "command": "invariants",

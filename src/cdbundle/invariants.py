@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DiscDomainError, TruncationOrderError
-from .kernels import TriangularData, shift_matrix
+from .kernels import Homogeneous, shift_matrix
 from .series import (
     MatrixPowerSeries2,
     _cauchy_term,
@@ -166,14 +166,15 @@ def homogeneous_invariants_closed(lam: float, mu, m: int) -> PointInvariants:
 
     The (1,1) derivative has no closed form here; callers needing it go
     through the series path.  Cross-validated against that path at 1e-10.
+    The parameters are validated as ``Homogeneous(lam, mu, m)`` validates
+    them, and an invalid triple raises its ``ValueError``.
     """
-    td = TriangularData.build(lam, mu, m)
-    B = td.B
+    B = np.diag(Homogeneous(lam, mu, m).diagonal.astype(complex))
     Binv = np.linalg.inv(B)
     Bhalf = np.sqrt(B.real).astype(complex)
     S = shift_matrix(m)
     Sh = S.conj().T
-    Dm = td.D_m
+    Dm = np.diag(np.arange(m, -1, -1).astype(complex))
 
     X = Binv @ S @ B
     a11 = X @ Sh - Sh @ X + (2.0 * lam + m) * np.eye(m + 1) - 2.0 * Dm

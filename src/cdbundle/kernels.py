@@ -9,7 +9,9 @@ Every kernel variant supports two independent views:
   shape S, and the result has shape S + (n, n), so a whole torus of point
   pairs is one call: an (n, 1) column of z against a (1, n) row of w gives
   n x n pairs, with every factor of z alone or of w alone computed on n
-  values.  Real (float) points are evaluated in real arithmetic;
+  values.  Real (float) points are evaluated in real arithmetic.  It checks
+  the disc once per call, then calls ``_values``, which a direct sum or a
+  permutation calls on its parts in turn;
 * ``taylor(order)`` — extraction of the coefficient lattice a[k,l] of
   K(z,w) = sum a[k,l] z^k conj(w)^l as a :class:`MatrixPowerSeries2`.
 
@@ -24,10 +26,12 @@ the spec (``functools.cached_property``): a jet's derivative coefficients
 as stacked (t, i, j) tables, so that all terms are formed and summed over t
 in one pass, and the distinct exponents of z, conj(w) and 1 - z conj(w) with
 the maps that gather their powers into each term; the homogeneous family's
-nilpotent powers, the diagonal of B and the exponents of D(x); a
-permutation's index sigma - 1.  They hold constants of the spec only, never
-points or results.  Two threads racing on a fresh spec may both build a
-table, with equal values, and either copy is kept.  Each base is raised once
+diagonal d of B (``Homogeneous.diagonal``, from lambda and mu), the
+nilpotent powers S^r/r! and (S^*)^r/r!, which ``taylor`` reads too, and
+the exponents of D(x); a permutation's index sigma - 1.  They hold
+constants of the spec only, never points or results.  Two threads racing
+on a fresh spec may both build a table, with equal values, and either copy
+is kept.  Each base is raised once
 per point to each distinct exponent, and the diagonal and permutation
 factors are applied by scaling and gathering; every output is bit-identical
 to the per-term powers and the dense matrix products B and P K P^* written
@@ -37,7 +41,7 @@ out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -53,7 +57,6 @@ __all__ = [
     "DirectSum",
     "Homogeneous",
     "Permuted",
-    "TriangularData",
     "shift_matrix",
     "weighted_shift",
     "kernel_taylor",
@@ -116,49 +119,6 @@ def _check_disc(z, w) -> None:
         raise DiscDomainError(f"point ({zb}, {wb}) outside the open unit disc")
 
 
-@dataclass(frozen=True)
-class TriangularData:
-    """Structured data of the homogeneous family for given (lambda, mu, m).
-
-    L is unit lower triangular with
-    L[l, j] = C(l, j)^2 (l-j)! / (2*lambda - m + 2j)_(l-j)  for j <= l,
-    d = L mu' where mu' = (mu_0^2, ..., mu_m^2), B = diag(d) and
-    D_m = diag(m, m-1, ..., 1, 0).
-    """
-
-    lam: float
-    mu: tuple
-    m: int
-    L: np.ndarray = field(repr=False)
-    d: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, lam: float, mu: Sequence[float], m: int) -> "TriangularData":
-        L = np.zeros((m + 1, m + 1))
-        for l in range(m + 1):
-            for j in range(l + 1):
-                two_lam_j = 2.0 * lam - m + 2 * j
-                L[l, j] = math.comb(l, j) ** 2 * math.factorial(l - j) / rising(two_lam_j, l - j)
-        try:
-            mu_sq = np.array([float(x) ** 2 for x in mu])
-            with np.errstate(over="raise"):
-                d = L @ mu_sq
-        except (OverflowError, FloatingPointError):
-            raise ValueError(f"mu {tuple(mu)} is too large: mu_i^2 or the metric diagonal "
-                             "d = L mu' is not finite") from None
-        if d.min() <= 0:
-            raise ValueError(f"diagonal metric data must be positive, got {d}")
-        return cls(lam=float(lam), mu=tuple(float(x) for x in mu), m=int(m), L=L, d=d)
-
-    @property
-    def B(self) -> np.ndarray:
-        return np.diag(self.d.astype(complex))
-
-    @property
-    def D_m(self) -> np.ndarray:
-        return np.diag(np.arange(self.m, -1, -1).astype(complex))
-
-
 class KernelSpec:
     """Base class of the kernel zoo; concrete variants are frozen dataclasses."""
 
@@ -173,6 +133,12 @@ class KernelSpec:
         For arrays, each value is bit-identical to the one computed at
         ``np.broadcast_arrays(z, w)``.
         """
+        _check_disc(z, w)
+        # scalars as arrays too: a scalar power or product can differ from numpy's in the last bit
+        return self._values(np.asarray(z), np.asarray(w))
+
+    def _values(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """K(z, w) at arrays z and w that ``evaluate`` has checked to lie in the disc."""
         raise NotImplementedError
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
@@ -197,10 +163,8 @@ class BergmanPower(KernelSpec):
     def rank(self) -> int:
         return 1
 
-    def evaluate(self, z, w) -> np.ndarray:
-        _check_disc(z, w)
-        # scalars as arrays too: a scalar power can differ from the array power in the last bit
-        z, w = np.asarray(z)[..., None, None], np.asarray(w)[..., None, None]
+    def _values(self, z, w) -> np.ndarray:
+        z, w = z[..., None, None], w[..., None, None]
         return np.asarray((1 - z * np.conj(w)) ** (-self.lam), dtype=complex)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
@@ -264,11 +228,9 @@ class Jet(KernelSpec):
             powers.append((distinct, at.reshape(table.shape)))
         return np.array([rising(beta, b) for b in range(n)]), coeff, rise, tuple(powers)
 
-    def evaluate(self, z, w) -> np.ndarray:
-        _check_disc(z, w)
+    def _values(self, z, w) -> np.ndarray:
         front, coeff, rise, ((z_exps, z_at), (w_exps, w_at), (x_exps, x_at)) = self._tables
-        # scalars as arrays too: a scalar power can differ from the array power in the last bit
-        z, wbar = np.asarray(z)[..., None], np.conj(np.asarray(w))[..., None]
+        z, wbar = z[..., None], np.conj(w)[..., None]
         one_x = 1 - z * wbar
         base = (one_x ** (-self.alpha))[..., None]
         zpow, wpow, xpow = z ** z_exps, wbar ** w_exps, one_x ** x_exps
@@ -326,8 +288,8 @@ class DirectSum(KernelSpec):
     def rank(self) -> int:
         return sum(p.rank for p in self.parts)
 
-    def evaluate(self, z, w) -> np.ndarray:
-        return _block_diagonal([p.evaluate(z, w) for p in self.parts])
+    def _values(self, z, w) -> np.ndarray:
+        return _block_diagonal([p._values(z, w) for p in self.parts])
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         return MatrixPowerSeries2(_block_diagonal([p.taylor(order).coeffs for p in self.parts]))
@@ -381,26 +343,42 @@ class Homogeneous(KernelSpec):
         return self.m + 1
 
     @cached_property
-    def triangular(self) -> TriangularData:
-        return TriangularData.build(self.lam, self.mu, self.m)
+    def diagonal(self) -> np.ndarray:
+        """d = L mu', the diagonal of B, where mu' = (mu_0^2, ..., mu_m^2) and L is unit lower
+        triangular with L[l, j] = C(l, j)^2 (l-j)! / (2 lambda - m + 2j)_(l-j) for j <= l."""
+        m = self.m
+        L = np.zeros((m + 1, m + 1))
+        for l in range(m + 1):
+            for j in range(l + 1):
+                L[l, j] = (math.comb(l, j) ** 2 * math.factorial(l - j)
+                           / rising(2.0 * self.lam - m + 2 * j, l - j))
+        try:
+            mu_sq = np.array([x ** 2 for x in self.mu])
+            with np.errstate(over="raise"):
+                d = L @ mu_sq
+        except (OverflowError, FloatingPointError):
+            raise ValueError(f"mu {self.mu} is too large: mu_i^2 or the metric diagonal "
+                             "d = L mu' is not finite") from None
+        if d.min() <= 0:
+            raise ValueError(f"diagonal metric data must be positive, got {d}")
+        return d
 
     @cached_property
     def _tables(self) -> tuple:
         """The point-independent factors of evaluate.
 
-        The terms S^r/r! and (S^*)^r/r! of the two exponentials, the
-        diagonal d of B, and the exponents m - l of the diagonal of D(x).
+        The terms S^r/r! and (S^*)^r/r! of the two exponentials (taylor reads
+        S^r/r! too), the diagonal d of B, and the exponents m - l of the
+        diagonal of D(x).
         """
         m = self.m
         S = shift_matrix(m)
-        return (_nilpotent_terms(S), _nilpotent_terms(S.conj().T), self.triangular.d,
+        return (_nilpotent_terms(S), _nilpotent_terms(S.conj().T), self.diagonal,
                 m - np.arange(m + 1))
 
-    def evaluate(self, z, w) -> np.ndarray:
-        _check_disc(z, w)
+    def _values(self, z, w) -> np.ndarray:
         m = self.m
-        # scalars as arrays too: a scalar product can differ from the array product in the last bit
-        z, wbar = np.asarray(z), np.conj(np.asarray(w))
+        wbar = np.conj(w)
         one_x = 1 - (z * wbar)[..., None, None]
         w_terms, z_terms, d, d_exp = self._tables
         expw = _nilpotent_exp(wbar, w_terms)
@@ -420,12 +398,9 @@ class Homogeneous(KernelSpec):
             a[k,l]_ij = sum_{t <= min(k,l)} c_t(2 lambda - m + i + j) F[k-t, l-t]_ij.
         """
         m, N = self.m, order
-        S = shift_matrix(m)
-        powers = [np.eye(m + 1, dtype=complex)]  # S^r by successive products, exact integers
-        for _ in range(N):
-            powers.append(powers[-1] @ S)
-        P = np.array([power / math.factorial(r) for r, power in enumerate(powers)])
-        F = np.einsum("lab,b,kdb->klad", P, self.triangular.d, P.conj())
+        P = np.zeros((N + 1, m + 1, m + 1), dtype=complex)  # S^r / r!, which is 0 from r = m + 1
+        P[: m + 1] = self._tables[0][: N + 1]
+        F = np.einsum("lab,b,kdb->klad", P, self.diagonal, P.conj())
         a = 2 * self.lam - m + np.add.outer(np.arange(m + 1), np.arange(m + 1))
         with np.errstate(over="ignore"):
             c = [rising(a, t) / math.factorial(t) for t in range(N + 1)]
@@ -453,7 +428,7 @@ def _nilpotent_exp(t, terms: list) -> np.ndarray:
 
     t is a scalar or an array of shape S; the result has shape S + (n, n).
     """
-    t = np.asarray(t)[..., None, None]
+    t = t[..., None, None]
     out = terms[0] + t * terms[1]
     power = t
     for term in terms[2:]:
@@ -494,8 +469,8 @@ class Permuted(KernelSpec):
         idx = self._index
         return np.take(np.take(k, idx, axis=-2), idx, axis=-1) + 0.0
 
-    def evaluate(self, z, w) -> np.ndarray:
-        return self._gather(self.inner.evaluate(z, w))
+    def _values(self, z, w) -> np.ndarray:
+        return self._gather(self.inner._values(z, w))
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         return MatrixPowerSeries2(self._gather(self.inner.taylor(order).coeffs))

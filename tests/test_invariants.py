@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 
@@ -22,7 +23,7 @@ from cdbundle import (
     transport_eigenvalues,
 )
 from cdbundle import invariants, series
-from cdbundle.kernels import TriangularData, weighted_shift
+from cdbundle.kernels import weighted_shift
 from cdbundle.series import MatrixPowerSeries2, assert_hermitian, positive_sqrt
 from conftest import random_kernel_series, zoo_fixtures
 
@@ -35,7 +36,7 @@ SQ5, SQ6 = np.sqrt(5.0), np.sqrt(6.0)
 
 def homogeneous_abc(lam: float, mu) -> tuple:
     """(a, b, c) = (2 lambda, 1/d_1, 4 d_1 / d_2) for the m = 2 family."""
-    d = TriangularData.build(lam, mu, 2).d
+    d = Homogeneous(lam, mu, 2).diagonal
     return 2.0 * lam, 1.0 / d[1], 4.0 * d[1] / d[2]
 
 
@@ -402,6 +403,14 @@ def test_homogeneous_closed_m2_reference_values():
     assert (a, b, c) == pytest.approx((4.0, 2.0 / 3.0, 18.0 / 7.0), abs=1e-14)
     assert np.allclose(np.diag(inv.curvature).real, curvature_diag_from_abc(a, b, c), atol=1e-13)
     assert np.abs(inv.d_zbar - dzbar_from_abc(b, c)).max() < 1e-13
+
+
+def test_homogeneous_closed_validates_like_the_spec():
+    for mu in ((2.0, 1.0, 1.0), (1.0, -1.0, 1.0)):
+        with pytest.raises(ValueError) as spec_error:
+            Homogeneous(2.0, mu, 2)
+        with pytest.raises(ValueError, match=re.escape(str(spec_error.value))):
+            homogeneous_invariants_closed(2.0, mu, 2)
 
 
 def test_homogeneous_closed_m1_reference_values():

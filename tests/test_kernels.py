@@ -15,11 +15,11 @@ from cdbundle import (
     Homogeneous,
     Jet,
     Permuted,
-    TriangularData,
     kernel_taylor,
     spec_from_dict,
     spec_to_dict,
 )
+from cdbundle import kernels
 from cdbundle.kernels import falling, permutation_matrix, rising, shift_matrix, weighted_shift
 from cdbundle.oracle import (
     _N_CURVATURE,
@@ -159,9 +159,8 @@ def test_shift_matrix_nilpotent():
 
 
 def test_homogeneous_triangular_data():
-    td = TriangularData.build(2.0, (1.0, 1.0, 1.0), 2)
-    assert np.allclose(np.diag(td.L), 1.0)
-    assert np.allclose(td.d, [1.0, 1.5, 7.0 / 3.0], atol=1e-14)
+    assert np.allclose(Homogeneous(2.0, (1.0, 1.0, 1.0), 2).diagonal, [1.0, 1.5, 7.0 / 3.0],
+                       atol=1e-14)
     lam = 2.0
     expected_inv = np.array(
         [
@@ -170,7 +169,10 @@ def test_homogeneous_triangular_data():
             [1.0 / (lam * (2.0 * lam - 1.0)), -2.0 / lam, 1.0],
         ]
     )
-    assert np.abs(np.linalg.inv(td.L) - expected_inv).max() < 1e-12
+    for mu in ((1.0, 1.0, 1.0), (1.0, 0.7, 1.3)):
+        # d = L mu', so L^-1 d gives back mu' = (mu_0^2, ..., mu_m^2)
+        d = Homogeneous(lam, mu, 2).diagonal
+        assert np.abs(expected_inv @ d - np.square(mu)).max() < 1e-12
 
 
 def test_homogeneous_evaluate_nilpotent_exponent_m1():
@@ -179,7 +181,7 @@ def test_homogeneous_evaluate_nilpotent_exponent_m1():
     z, w = 0.3, 0.2 + 0.1j
     x = z * np.conj(w)
     S = shift_matrix(1)
-    B = spec.triangular.B
+    B = np.diag(spec.diagonal)
     D = np.diag([1 - x, 1.0])
     manual = (1 - x) ** (-3.0) * (
         D @ (np.eye(2) + np.conj(w) * S) @ B @ (np.eye(2) + z * S.T) @ D
@@ -190,7 +192,7 @@ def test_homogeneous_evaluate_nilpotent_exponent_m1():
 def test_homogeneous_taylor_low_coefficients():
     spec = Homogeneous(lam=2.0, mu=(1.0, 1.0, 1.0), m=2)
     ser = kernel_taylor(spec, 3)
-    B = spec.triangular.B
+    B = np.diag(spec.diagonal)
     S = shift_matrix(2)
     assert np.abs(ser.coeff(0, 0) - B).max() < 1e-14
     assert np.abs(ser.coeff(1, 0) - B @ S.conj().T).max() < 1e-14
@@ -337,6 +339,25 @@ def test_disc_check_names_the_first_pair_outside():
         assert empty.shape == (0, 4, spec.rank, spec.rank), name
 
 
+def test_nested_spec_checks_the_disc_once(monkeypatch):
+    # a direct sum and a permutation evaluate their parts unchecked, so three leaves cost one check
+    nested = dict(_byte_specs())["nested"]
+    check, calls = kernels._check_disc, []
+
+    def counted(z, w):
+        calls.append(None)
+        check(z, w)
+
+    monkeypatch.setattr(kernels, "_check_disc", counted)
+    z, w = np.array([[0.3], [0.2j]]), np.array([[0.1, -0.4]])
+    assert nested.evaluate(z, w).shape == (2, 2, 8, 8)
+    assert len(calls) == 1
+    w[0, 1] = 1.2
+    with pytest.raises(DiscDomainError, match=re.escape(f"point ({z[0, 0]}, {w[0, 1]}) outside")):
+        nested.evaluate(z, w)
+    assert len(calls) == 2
+
+
 def _reference_evaluate(spec, z, w):
     """K(z, w) by dense formulas, for a byte-for-byte comparison with evaluate.
 
@@ -373,7 +394,7 @@ def _reference_evaluate(spec, z, w):
             return out
 
         D = (1 - x) ** (m - np.arange(m + 1))
-        B = spec.triangular.B
+        B = np.diag(spec.diagonal)
         dense = exp(wbar, S) @ B @ exp(z, S.conj().T)
         return (1 - x) ** (-2 * spec.lam - m) * (np.swapaxes(D, -1, -2) * dense * D)
     if isinstance(spec, Jet):
@@ -464,7 +485,7 @@ def _reference_homogeneous_taylor(spec, order):
     m, N = spec.m, order
     S = shift_matrix(m)
     P = np.array([np.linalg.matrix_power(S, r) / math.factorial(r) for r in range(N + 1)])
-    F = np.einsum("lab,b,kdb->klad", P, spec.triangular.d, P.conj())
+    F = np.einsum("lab,b,kdb->klad", P, spec.diagonal, P.conj())
     a = 2 * spec.lam - m + np.add.outer(np.arange(m + 1), np.arange(m + 1))
     out = np.zeros_like(F)
     for t in range(N + 1):

@@ -87,7 +87,7 @@ def test_metric_values():
     got = BergmanPower(2.0).metric_at(z)
     assert got[0, 0] == pytest.approx((1 - abs(z) ** 2) ** (-2.0), rel=1e-14)
     hom = Homogeneous(lam=2.0, mu=(1.0, 1.0, 1.0), m=2)
-    assert np.abs(hom.metric_at(0.0) - hom.triangular.B).max() < 1e-14
+    assert np.abs(hom.metric_at(0.0) - np.diag(hom.diagonal)).max() < 1e-14
 
 
 def test_curvature_bergman_field():
