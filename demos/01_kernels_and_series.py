@@ -48,8 +48,9 @@ print("=" * 70)
 
 spec = Homogeneous(lam=2.0, mu=(1, 1, 1), m=2)
 for order in (4, 6, 8):
-    ser = kernel_taylor(spec, order)
-    dev = np.abs(ser.evaluate(z, z) - spec.evaluate(z, z)).max()
+    powers = z ** np.arange(order + 1)  # the truncated series summed at (z, z)
+    partial = np.einsum("k,l,klij->ij", powers, np.conj(powers), kernel_taylor(spec, order).coeffs)
+    dev = np.abs(partial - spec.evaluate(z, z)).max()
     print(f"  order {order}: truncation deviation at |z| = {abs(z):.2f} is {dev:.3e}")
 
 print()
@@ -59,13 +60,16 @@ print("=" * 70)
 
 ser = kernel_taylor(spec, 4)
 inv = ser.invert()
-resid = np.abs(ser.multiply(inv).coeffs - np.eye(3)).max()
+identity = np.zeros_like(ser.coeffs)
+identity[0, 0] = np.eye(3)
+resid = np.abs(ser.multiply(inv).coeffs - identity).max()
 print(f"  K * K^-1 deviates from the constant identity lattice by {resid:.2e}")
-print(f"  Hermitian symmetry defect of the lattice: {ser.hermitian_symmetry_defect():.2e}")
+defect = np.abs(ser.coeffs.conj().transpose(1, 0, 3, 2) - ser.coeffs).max()  # a[k,l]^* vs a[l,k]
+print(f"  Hermitian symmetry defect of the lattice: {defect:.2e}")
 
 norm = normalize(ser)
 print("  normalized kernel: constant term and pure-z / pure-conj(w) rows vanish:")
-print(f"    |a~[0,0] - I| = {np.abs(norm.coeff(0, 0) - np.eye(3)).max():.2e}")
+print(f"    |a~[0,0] - I| = {np.abs(norm.coeffs[0, 0] - np.eye(3)).max():.2e}")
 print(f"    max |a~[k,0]|, k >= 1: {np.abs(norm.coeffs[1:, 0]).max():.2e}")
 print("  a~[1,1] (this transposed is the curvature at 0):")
-print(np.array2string(norm.coeff(1, 1), prefix="  "))
+print(np.array2string(norm.coeffs[1, 1], prefix="  "))

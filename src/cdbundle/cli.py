@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: invariants, equiv, feasible, field, reproduce.  Reports are
+Subcommands: invariants, equiv, feasible, field, reproduce.  ``feasible``
+solves the rank-3 problem for ``--triple`` (optionally over its orderings,
+``--permutations``) and the rank-2 problem for ``--pair``.  Reports are
 emitted as canonical JSON (schema "cdbundle/1"): object keys sorted, floats
 printed with 17 significant digits, complex entries as {"re": .., "im": ..}
 — byte-identical output for identical inputs, and parse/re-serialize is a
@@ -135,12 +137,9 @@ def cmd_invariants(args) -> int:
     else:
         print(f"kernel: {json.dumps(spec_to_dict(spec))}")
         with np.printoptions(precision=12, suppress=False, linewidth=120):
-            print("curvature(0):")
-            print(np.array(inv.curvature))
-            print("d_zbar(0):")
-            print(np.array(inv.d_zbar))
-            print("d_zzbar(0):")
-            print(np.array(inv.d_zzbar))
+            for name in ("curvature", "d_zbar", "d_zzbar"):
+                print(f"{name}(0):")
+                print(np.array(getattr(inv, name)))
         print("oracle residuals:", {k: f"{v:.3e}" for k, v in residuals.items()})
     over = {k: v for k, v in residuals.items() if not v <= ORACLE_CROSS_CHECK_TOL}
     if over:
@@ -193,13 +192,11 @@ def _params(params) -> dict | None:
 
 
 def cmd_feasible(args) -> int:
-    if args.rank2:
-        if args.pair is None:
-            raise ValueError("--rank2 requires --pair d1,d2")
+    if args.pair is not None:
         if args.triple is not None:
-            raise ValueError("'--triple' does not go with --rank2, which reads --pair")
+            raise ValueError("'--pair' (rank 2) and '--triple' (rank 3) are two modes; give one")
         if args.permutations:
-            raise ValueError("'--permutations' does not go with --rank2")
+            raise ValueError("'--permutations' does not go with --pair")
         d1, d2 = _parse_tuple(args.pair, 2)
         sol = rank2_feasibility(d1, d2)
         doc = {
@@ -212,9 +209,7 @@ def cmd_feasible(args) -> int:
         _emit(doc)
         return EXIT_OK
     if args.triple is None:
-        raise ValueError("provide --triple d1,d2,d3 (or --pair with --rank2)")
-    if args.pair is not None:
-        raise ValueError("'--pair' does not go with --triple; it needs --rank2")
+        raise ValueError("provide --triple d1,d2,d3 or --pair d1,d2")
     delta = _parse_tuple(args.triple, 3)
     res = solve_triple(delta)
     doc = {
@@ -269,13 +264,12 @@ def cmd_field(args) -> int:
 def cmd_reproduce(args) -> int:
     records, notes = SCENARIOS[args.case]()
     failed = 0
-    for rec in records:
-        mark = "PASS" if rec["ok"] else "FAIL"
-        line = f"[{mark}] {rec['name']}"
-        if rec["detail"]:
-            line += f"  ({rec['detail']})"
+    for name, ok, detail in records:
+        line = f"[{'PASS' if ok else 'FAIL'}] {name}"
+        if detail:
+            line += f"  ({detail})"
         print(line)
-        failed += 0 if rec["ok"] else 1
+        failed += 0 if ok else 1
     for note in notes:
         print(f"note: {note}")
     print(f"{args.case}: {len(records) - failed}/{len(records)} assertions passed")
@@ -301,8 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("feasible", help="inverse eigenvalue feasibility")
     p.add_argument("--triple", help="d1,d2,d3")
-    p.add_argument("--pair", help="d1,d2 (with --rank2)")
-    p.add_argument("--rank2", action="store_true")
+    p.add_argument("--pair", help="d1,d2 (the rank-2 problem)")
     p.add_argument("--permutations", action="store_true")
     p.set_defaults(func=cmd_feasible)
 

@@ -27,7 +27,7 @@ from .oracle import curvature_eigenvalues_fd
 
 
 def _rec(records, name, ok, detail=""):
-    records.append({"name": name, "ok": bool(ok), "detail": detail})
+    records.append((name, bool(ok), detail))
 
 
 def example1_pair(lam: float = 1.0, mu: float = 5.0):

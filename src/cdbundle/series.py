@@ -3,7 +3,11 @@
 A series here is  sum_{k,l=0..N} a[k,l] z^k conj(w)^l  with each a[k,l] an
 n-by-n complex matrix.  This is the carrier for reproducing kernels, their
 inverses and their normalized forms; every coefficient-level invariant
-formula in the package operates on this representation.
+formula in the package operates on this representation.  A series is read
+through its coefficient array ``coeffs`` with ``rank`` and ``order``, and
+composed by ``multiply`` and ``invert``; ``assert_hermitian``,
+``leading_inverse`` and ``positive_sqrt`` are the checked matrix steps the
+normalization shares.
 
 Conventions
 -----------
@@ -30,16 +34,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    DiscDomainError,
-    MetricDegeneracyError,
-    SingularLeadingTermError,
-    TruncationOrderError,
-)
+from .errors import DimensionMismatchError, MetricDegeneracyError, SingularLeadingTermError
 
 DEFAULT_ORDER = 6
 TOL_HERM = 1e-12
+_SQRT_FLOOR = 1e-10  # least eigenvalue positive_sqrt accepts
 
 
 def require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -49,17 +48,11 @@ def require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     return arr
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """Entrywise max |a^* - a|."""
-    a = np.asarray(a, dtype=complex)
-    return float(np.abs(a.conj().T - a).max(initial=0.0))
-
-
 def assert_hermitian(a: np.ndarray, tol: float = TOL_HERM, what: str = "matrix") -> np.ndarray:
     a = require_finite(a, what)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{what} must be square, got shape {a.shape}")
-    d = hermitian_defect(a)
+    d = float(np.abs(a.conj().T - a).max(initial=0.0))
     if d > tol:
         raise ValueError(f"{what} is not Hermitian within {tol:g} (defect {d:.3e})")
     return a
@@ -85,15 +78,15 @@ def leading_inverse(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return (vecs / vals) @ vecs.conj().T
 
 
-def positive_sqrt(vals: np.ndarray, vecs: np.ndarray, floor: float = 1e-10) -> np.ndarray:
+def positive_sqrt(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Principal square root V diag(sqrt(vals)) V^* from (vals, vecs) = np.linalg.eigh(a).
 
-    Eigenvalues below `floor` are rejected rather than clipped: a degenerate
-    metric invalidates every downstream invariant formula.
+    Eigenvalues below _SQRT_FLOOR are rejected rather than clipped: a
+    degenerate metric invalidates every downstream invariant formula.
     """
-    if vals.min() < floor:
+    if vals.min() < _SQRT_FLOOR:
         raise MetricDegeneracyError(
-            f"matrix not positive definite (min eigenvalue {vals.min():.3e} < {floor:g})"
+            f"matrix not positive definite (min eigenvalue {vals.min():.3e} < {_SQRT_FLOOR:g})"
         )
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
@@ -118,22 +111,6 @@ class MatrixPowerSeries2:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MatrixPowerSeries2 is immutable")
-
-    # -- basic accessors ----------------------------------------------
-
-    def coeff(self, k: int, l: int) -> np.ndarray:
-        if k > self.order or l > self.order:
-            raise TruncationOrderError(
-                f"coefficient ({k},{l}) beyond truncation order {self.order}"
-            )
-        return self.coeffs[k, l].copy()
-
-    def truncate(self, order: int) -> "MatrixPowerSeries2":
-        """The lattice restricted to indices <= order; products and inverses
-        of the restriction are exact there."""
-        if order > self.order:
-            raise TruncationOrderError(f"series order {self.order} is below the required {order}")
-        return MatrixPowerSeries2(self.coeffs[: order + 1, : order + 1])
 
     def _check_compatible(self, other: "MatrixPowerSeries2") -> None:
         if self.rank != other.rank:
@@ -178,23 +155,6 @@ class MatrixPowerSeries2:
                 if k or l:
                     b[k, l] = -_cauchy_term(b, a, k, l) @ a00_inv
         return MatrixPowerSeries2(b)
-
-    # -- analysis helpers ----------------------------------------------
-
-    def hermitian_symmetry_defect(self) -> float:
-        """max_{k,l} entrywise |a[k,l]^* - a[l,k]|; validity gate for kernels."""
-        a = self.coeffs
-        sym = np.conj(np.swapaxes(a, 2, 3))  # a[k,l]^* at index (k,l)
-        return float(np.abs(np.swapaxes(sym, 0, 1) - a).max(initial=0.0))
-
-    def evaluate(self, z: complex, w: complex) -> np.ndarray:
-        """sum over retained indices; truncation tail is not compensated."""
-        if abs(z) >= 1 or abs(w) >= 1:
-            raise DiscDomainError(f"evaluation point ({z}, {w}) outside the open disc")
-        N = self.order
-        zp = z ** np.arange(N + 1)
-        wp = np.conj(w) ** np.arange(N + 1)
-        return np.einsum("k,l,klij->ij", zp, wp, self.coeffs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatrixPowerSeries2(rank={self.rank}, order={self.order})"

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,6 +82,29 @@ def test_invariants_jet_and_homogeneous(tmp_path, capsys):
     assert diag == pytest.approx([4 / 3, 44 / 21, 60 / 7], abs=1e-10)
 
 
+@pytest.mark.parametrize("payload, n, kernel_line", [
+    (BERGMAN2, 1, 'kernel: {"type": "bergman", "lambda": 2.0}'),
+    (HOM, 3, 'kernel: {"type": "homogeneous", "lambda": 2.0, "mu": [1.0, 1.0, 1.0], "m": 2}'),
+], ids=["rank1", "rank3"])
+def test_invariants_text_output(tmp_path, capsys, payload, n, kernel_line):
+    # without --json: the spec, then each invariant under its header as an n-line matrix
+    path = write(tmp_path, "k.json", payload)
+    code, out, err = run(capsys, ["invariants", "--kernel", path])
+    assert code == EXIT_OK and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 5 + 3 * n
+    assert lines[0] == kernel_line
+    assert [lines[1 + i * (n + 1)] for i in range(3)] == ["curvature(0):", "d_zbar(0):", "d_zzbar(0):"]
+    for i in range(3):
+        block = lines[2 + i * (n + 1): 2 + i * (n + 1) + n]
+        assert block[0].startswith("[[") and block[-1].endswith("]]"), block
+    number = r"'\d\.\d{3}e[+-]\d{2}'"
+    assert re.fullmatch(r"oracle residuals: \{'curvature': N, 'd_zbar': N, 'd_zzbar': N\}"
+                        .replace("N", number), lines[-1])
+    if n == 1:
+        assert lines[2] == "[[2.+0.j]]"
+
+
 def test_invariants_deterministic_and_round_trip(tmp_path, capsys):
     path = write(tmp_path, "h.json", HOM)
     _, out1, _ = run(capsys, ["invariants", "--kernel", path, "--json"])
@@ -114,15 +138,16 @@ def test_equiv_exit_codes(tmp_path, capsys):
     assert code == EXIT_DISTINCT
 
 
-def assert_unrecognized(capsys, argv, flag, value):
-    # the answers read a fixed lattice order and a fixed torus, so neither flag is accepted
+def assert_unrecognized(capsys, argv, *unknown):
+    # retired flags: the answers read a fixed lattice order and a fixed torus, and
+    # --pair alone selects the rank-2 problem, so none of them is accepted
     with pytest.raises(SystemExit) as exc:
-        main([*argv, flag, value])
+        main([*argv, *unknown])
     out, err = capsys.readouterr()
     assert exc.value.code == EXIT_PARSE
     assert out == ""
     assert err.startswith("usage: cdbundle")
-    assert f"unrecognized arguments: {flag} {value}" in err
+    assert f"unrecognized arguments: {' '.join(unknown)}" in err
 
 
 @pytest.mark.parametrize("command", ["invariants", "equiv"])
@@ -155,12 +180,17 @@ def test_infeasible_triple_prints_null_params(capsys):
 
 
 def test_feasible_rank2(capsys):
-    code, out, _ = run(capsys, ["feasible", "--pair", "1,5", "--rank2"])
+    code, out, _ = run(capsys, ["feasible", "--pair", "1,5"])
     assert code == EXIT_OK
     doc = json.loads(out)
+    assert doc["inputs"] == {"pair": [1, 5], "rank2": True}
     assert doc["feasible"] is True
     assert doc["params"]["lambda"] == pytest.approx(1.5)
     assert doc["params"]["mu1_sq"] == pytest.approx(0.5)
+
+
+def test_feasible_rank2_flag_is_retired(capsys):
+    assert_unrecognized(capsys, ["feasible", "--pair", "1,5"], "--rank2")
 
 
 def test_feasible_malformed_input(capsys):
@@ -172,10 +202,10 @@ def test_feasible_malformed_input(capsys):
 @pytest.mark.parametrize("argv, token", [
     (["--triple", "nan,2,10"], "nan"),
     (["--triple", "1,2,inf"], "inf"),
-    (["--pair", "1e400,5", "--rank2"], "1e400"),
+    (["--pair", "1e400,5"], "1e400"),
     # a flag that the chosen mode would ignore is refused and named, not dropped
-    (["--rank2", "--pair", "1,5", "--triple", "1,2,10"], "--triple"),
-    (["--rank2", "--pair", "1,5", "--permutations"], "--permutations"),
+    (["--pair", "1,5", "--triple", "1,2,10"], "--triple"),
+    (["--pair", "1,5", "--permutations"], "--permutations"),
     (["--triple", "1,2,10", "--pair", "1,5"], "--pair"),
 ])
 def test_feasible_non_finite_input_is_a_parse_failure(capsys, argv, token):
@@ -189,7 +219,7 @@ def test_feasible_non_finite_input_is_a_parse_failure(capsys, argv, token):
 @pytest.mark.parametrize("argv, quantity", [
     (["--triple", "1e308,1e308,1e308"], "a = inf"),
     (["--triple", "1e200,1e200,3e200", "--permutations"], "mu2_pos lhs = inf"),
-    (["--pair", "1e308,1.7e308", "--rank2"], "lambda = inf"),
+    (["--pair", "1e308,1.7e308"], "lambda = inf"),
 ])
 def test_feasible_overflow_names_the_quantity(capsys, argv, quantity):
     code, out, err = run(capsys, ["feasible", *argv])

@@ -62,12 +62,12 @@ def tilde_a_closed(K: MatrixPowerSeries2, which: str) -> np.ndarray:
     """
     if K.order < 2:
         raise TruncationOrderError("closed coefficient formulas need order >= 2")
-    a00 = K.coeff(0, 0)
+    a00 = K.coeffs[0, 0]
     a00_inv = np.linalg.inv(a00)
     root_inv = np.linalg.inv(positive_sqrt(*np.linalg.eigh(assert_hermitian(a00, what="a00"))))
-    a10, a01 = K.coeff(1, 0), K.coeff(0, 1)
-    a11, a12, a21 = K.coeff(1, 1), K.coeff(1, 2), K.coeff(2, 1)
-    a20, a02, a22 = K.coeff(2, 0), K.coeff(0, 2), K.coeff(2, 2)
+    a10, a01 = K.coeffs[1, 0], K.coeffs[0, 1]
+    a11, a12, a21 = K.coeffs[1, 1], K.coeffs[1, 2], K.coeffs[2, 1]
+    a20, a02, a22 = K.coeffs[2, 0], K.coeffs[0, 2], K.coeffs[2, 2]
 
     schur = a11 - a10 @ a00_inv @ a01
     if which == "a11":
@@ -100,7 +100,7 @@ def tilde_a_general(K: MatrixPowerSeries2, k: int, l: int) -> np.ndarray:
         raise TruncationOrderError("series order too small for requested coefficient")
     a = K.coeffs
     b = K.invert().coeffs
-    half = positive_sqrt(*np.linalg.eigh(assert_hermitian(K.coeff(0, 0), what="a00")))
+    half = positive_sqrt(*np.linalg.eigh(assert_hermitian(K.coeffs[0, 0], what="a00")))
     n = K.rank
     acc = np.zeros((n, n), dtype=complex)
     for s in range(1, k + 1):
@@ -144,8 +144,8 @@ def test_closed_coefficients_match_normalize(rng):
         norm = normalize(k)
         for which, (i, j) in (("a11", (1, 1)), ("a12", (1, 2)), ("a22", (2, 2))):
             closed = tilde_a_closed(k, which)
-            scale = max(1.0, np.abs(norm.coeff(i, j)).max())
-            assert np.abs(closed - norm.coeff(i, j)).max() / scale < 1e-11
+            scale = max(1.0, np.abs(norm.coeffs[i, j]).max())
+            assert np.abs(closed - norm.coeffs[i, j]).max() / scale < 1e-11
 
 
 def test_general_coefficient_formula_matches_normalize(rng):
@@ -155,7 +155,7 @@ def test_general_coefficient_formula_matches_normalize(rng):
         norm = normalize(kser)
         for k, l in ((0, 0), (0, 1), (1, 0), (1, 1)):
             got = tilde_a_general(kser, k, l)
-            want = norm.coeff(k + 1, l + 1)
+            want = norm.coeffs[k + 1, l + 1]
             scale = max(1.0, np.abs(want).max())
             assert np.abs(got - want).max() / scale < 1e-11
 
@@ -235,7 +235,8 @@ def _lattices(rng):
     """(name, order, lattice) at orders 2-6: the zoo fixtures and three random kernel series."""
     full = [(name, kernel_taylor(spec, 6)) for name, spec in zoo_fixtures()]
     full += [(f"random_rank{r}", random_kernel_series(rng, rank=r, order=6)) for r in (1, 2, 3)]
-    return [(name, order, K.truncate(order)) for name, K in full for order in range(2, 7)]
+    return [(name, order, MatrixPowerSeries2(K.coeffs[: order + 1, : order + 1]))
+            for name, K in full for order in range(2, 7)]
 
 
 def _same_bits(got, want):
@@ -251,7 +252,7 @@ def _composed_normalize(K):
     z_only[:, 0], w_only[0, :] = a[:, 0], a[0, :]
     left = MatrixPowerSeries2(z_only).invert()
     right = MatrixPowerSeries2(w_only).invert()
-    half = positive_sqrt(*np.linalg.eigh(K.coeff(0, 0)))
+    half = positive_sqrt(*np.linalg.eigh(K.coeffs[0, 0]))
     return np.einsum("ij,kljm,mn->klin", half, left.multiply(K).multiply(right).coeffs, half)
 
 
@@ -259,7 +260,7 @@ def test_restricted_cells_match_full_normalize(rng):
     for name, order, K in _lattices(rng):
         norm = normalize(K)
         assert _same_bits(norm.coeffs, _composed_normalize(K)), (name, order)
-        a11, a12, a22 = norm.coeff(1, 1), norm.coeff(1, 2), norm.coeff(2, 2)
+        a11, a12, a22 = norm.coeffs[1, 1], norm.coeffs[1, 2], norm.coeffs[2, 2]
         # K keeps all its rows after normalize; each fresh lattice computes its own
         for lattice in (K, MatrixPowerSeries2(K.coeffs)):
             inv = invariants_at_zero(lattice)
@@ -268,7 +269,7 @@ def test_restricted_cells_match_full_normalize(rng):
             assert _same_bits(inv.d_zzbar, (2.0 * (2.0 * a22 - a11 @ a11)).T), (name, order)
         covd = {}
         for n in range(1, order):
-            want = math.factorial(n + 1) * norm.coeff(1, n + 1).T
+            want = math.factorial(n + 1) * norm.coeffs[1, n + 1].T
             assert _same_bits(covd_zbar_n_at_zero(K, n), want), (name, order, n)
             covd[n] = covd_zbar_n_at_zero(MatrixPowerSeries2(K.coeffs), n)
             assert _same_bits(covd[n], want), (name, order, n)
@@ -387,7 +388,7 @@ def test_cauchy_term_counts(monkeypatch):
 
     assert count(invariants_at_zero, fresh()) == 2 + 6
     assert [count(covd_zbar_n_at_zero, fresh(), n) for n in (1, 2, 3, 4)] == [8, 8, 8, 8]
-    assert count(normalize, lattice.truncate(2)) == 2 + 2
+    assert count(normalize, kernel_taylor(hom, 2)) == 2 + 2
     # on one lattice, covd reads the rows the invariants kept
     shared = fresh()
     assert count(invariants_at_zero, shared) == 2 + 6
