@@ -10,7 +10,6 @@ through the kernel machinery.
 import numpy as np
 
 from cdbundle import (
-    Homogeneous,
     full_report,
     invariants_at_zero,
     kernel_taylor,
@@ -50,8 +49,7 @@ partner = (2.0, 1.0, 10.5)
 r, rp = solve_triple(delta), solve_triple(partner)
 print("parameters for", delta, "->", tuple(round(v, 6) for v in r.params))
 print("parameters for", partner, "->", tuple(round(v, 6) for v in rp.params))
-k1 = Homogeneous(lam=r.params[0], mu=r.mu_vector(), m=2)
-k2 = Homogeneous(lam=rp.params[0], mu=rp.mu_vector(), m=2)
+k1, k2 = r.kernel(), rp.kernel()  # Homogeneous(lambda, (1, mu_1, mu_2), m=2) of each result
 inv1 = invariants_at_zero(kernel_taylor(k1, 3))
 inv2 = invariants_at_zero(kernel_taylor(k2, 3))
 print("curvature diagonals:", np.diag(inv1.curvature).real, np.diag(inv2.curvature).real)

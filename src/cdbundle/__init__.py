@@ -29,13 +29,11 @@ from .errors import (
 from .feasibility import (
     FeasibilityResult,
     PermutationAnalysis,
-    abc_to_params,
     check_region,
     permutation_analysis,
     rank2_feasibility,
     roundtrip_check,
     solve_triple,
-    triple_to_abc,
 )
 from .invariants import (
     PointInvariants,

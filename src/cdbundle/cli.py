@@ -24,12 +24,7 @@ import sys
 import numpy as np
 
 from .equivalence import TOLERANCES, Verdict, full_report
-from .errors import (
-    DiscDomainError,
-    MetricDegeneracyError,
-    SingularLeadingTermError,
-    WitnessVerificationError,
-)
+from .errors import DiscDomainError
 from .feasibility import permutation_analysis, rank2_feasibility, solve_triple
 from .invariants import INVARIANT_ORDER, invariants_at_zero
 from .kernels import kernel_taylor, spec_from_dict, spec_to_dict
@@ -48,14 +43,9 @@ EXIT_NUMERIC = 3
 EXIT_EIGS_ONLY = 10
 EXIT_DISTINCT = 11
 
-_NUMERIC_ERRORS = (
-    MetricDegeneracyError,
-    SingularLeadingTermError,
-    DiscDomainError,
-    WitnessVerificationError,
-    np.linalg.LinAlgError,
-    OverflowError,
-)
+# the class hierarchy of errors.py decides exit 3: every ArithmeticError (the metric, leading-term
+# and witness errors, OverflowError) and the two ValueErrors that are numeric
+_NUMERIC_ERRORS = (ArithmeticError, DiscDomainError, np.linalg.LinAlgError)
 
 
 def _fmt_float(x: float) -> str:
@@ -107,8 +97,8 @@ def _load_spec(path: str):
     return spec_from_dict(doc)
 
 
-def _emit(report: dict) -> None:
-    sys.stdout.write(canonical_json(report) + "\n")
+def _emit(command: str, report: dict) -> None:
+    sys.stdout.write(canonical_json({"schema": SCHEMA, "command": command, **report}) + "\n")
 
 
 def cmd_invariants(args) -> int:
@@ -119,8 +109,6 @@ def cmd_invariants(args) -> int:
         oracle = oracle_invariants_at_zero(spec)
     residuals = {k: float(np.abs(getattr(inv, k) - v).max()) for k, v in oracle.items()}
     report = {
-        "schema": SCHEMA,
-        "command": "invariants",
         "inputs": {"kernel": spec_to_dict(spec)},
         "outputs": {
             "curvature": inv.curvature,
@@ -133,7 +121,7 @@ def cmd_invariants(args) -> int:
         "notes": [],
     }
     if args.json:
-        _emit(report)
+        _emit("invariants", report)
     else:
         print(f"kernel: {json.dumps(spec_to_dict(spec))}")
         with np.printoptions(precision=12, suppress=False, linewidth=120):
@@ -155,8 +143,6 @@ def cmd_equiv(args) -> int:
     right = _load_spec(args.right)
     report = full_report(left, right)
     doc = {
-        "schema": SCHEMA,
-        "command": "equiv",
         "inputs": {"left": spec_to_dict(left), "right": spec_to_dict(right)},
         "verdict": report.verdict.value,
         "certificate": report.certificate,
@@ -165,7 +151,7 @@ def cmd_equiv(args) -> int:
         "annotations": list(report.annotations),
         "tolerances": TOLERANCES,
     }
-    _emit(doc)
+    _emit("equiv", doc)
     if report.verdict is Verdict.EQUIVALENT:
         return EXIT_OK
     if report.verdict is Verdict.EIGENVALUES_MATCH_ONLY:
@@ -200,21 +186,17 @@ def cmd_feasible(args) -> int:
         d1, d2 = _parse_tuple(args.pair, 2)
         sol = rank2_feasibility(d1, d2)
         doc = {
-            "schema": SCHEMA,
-            "command": "feasible",
             "inputs": {"pair": [d1, d2], "rank2": True},
             "feasible": sol is not None,
             "params": _params(sol),
         }
-        _emit(doc)
+        _emit("feasible", doc)
         return EXIT_OK
     if args.triple is None:
         raise ValueError("provide --triple d1,d2,d3 or --pair d1,d2")
     delta = _parse_tuple(args.triple, 3)
     res = solve_triple(delta)
     doc = {
-        "schema": SCHEMA,
-        "command": "feasible",
         "inputs": {"triple": list(delta), "permutations": bool(args.permutations)},
         "abc": list(res.abc),
         "checks": res.checks,
@@ -233,7 +215,7 @@ def cmd_feasible(args) -> int:
         }
         doc["feasible_sigmas"] = ["".join(map(str, s)) for s in analysis.feasible_sigmas]
         doc["respects_exclusions"] = analysis.respects_exclusions()
-    _emit(doc)
+    _emit("feasible", doc)
     return EXIT_OK
 
 
@@ -319,7 +301,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _NUMERIC_ERRORS as exc:
-        # checked before ValueError: several numeric error types subclass it
+        # checked before ValueError: DiscDomainError and LinAlgError subclass it
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, ValueError, json.JSONDecodeError) as exc:

@@ -18,7 +18,10 @@ c > 0, mu_1^2 > 0 and mu_2^2 > 0, with
            = (2 (a-c)(a-1) + b c) / (b c lambda (a-1)).
 
 All inequalities are strict and evaluated exactly (margin 0); boundary
-triples report infeasible.  Triples are ordered tuples throughout — the
+triples report infeasible.  :func:`solve_triple` is the one place a triple
+is decided, and its result builds the realizing kernel,
+``Homogeneous(lambda, (1, mu_1, mu_2), m=2)``, through
+:meth:`FeasibilityResult.kernel`.  Triples are ordered tuples throughout — the
 diagonal order is frame data — and multiset questions are answered only by
 :func:`permutation_analysis`.
 """
@@ -49,11 +52,12 @@ class FeasibilityResult:
     checks: dict
     feasible: bool
 
-    def mu_vector(self) -> tuple:
+    def kernel(self) -> Homogeneous:
+        """The m = 2 homogeneous kernel whose curvature diagonal at 0 is this triple."""
         if self.params is None:
-            raise DegenerateInputError("no parameters for an infeasible triple")
+            raise DegenerateInputError(f"triple {self.delta} is not feasible")
         lam, mu1_sq, mu2_sq = self.params
-        return (1.0, float(np.sqrt(mu1_sq)), float(np.sqrt(mu2_sq)))
+        return Homogeneous(lam=lam, mu=(1.0, float(np.sqrt(mu1_sq)), float(np.sqrt(mu2_sq))), m=2)
 
 
 @dataclass(frozen=True)
@@ -67,31 +71,6 @@ class PermutationAnalysis:
         return all(s in (IDENTITY, RHO, TAU) for s in self.feasible_sigmas)
 
 
-def triple_to_abc(delta) -> tuple:
-    d1, d2, d3 = (float(x) for x in delta)
-    return (
-        (d1 + d2 + d3) / 3.0,
-        (d2 + d3 - 2.0 * d1 - 6.0) / 3.0,
-        (2.0 * d3 - d1 - d2 - 6.0) / 3.0,
-    )
-
-
-def abc_to_params(a: float, b: float, c: float) -> Optional[tuple]:
-    """(lambda, mu_1^2, mu_2^2) when positive; None when infeasible."""
-    if b == 0.0 or c == 0.0:
-        raise DegenerateInputError("b and c must be nonzero")
-    lam = a / 2.0
-    if not (lam > 1.0 and b > 0.0 and c > 0.0):
-        return None
-    d1 = 1.0 / b
-    d2 = 4.0 * d1 / c
-    mu1_sq = d1 - 1.0 / (2.0 * (lam - 1.0))
-    mu2_sq = d2 - 2.0 * d1 / lam + 1.0 / (lam * (2.0 * lam - 1.0))
-    if mu1_sq <= 0.0 or mu2_sq <= 0.0:
-        return None
-    return (lam, mu1_sq, mu2_sq)
-
-
 def _require_finite(derived: dict) -> None:
     """Raise DegenerateInputError naming the first non-finite derived quantity."""
     for name, value in derived.items():
@@ -100,30 +79,38 @@ def _require_finite(derived: dict) -> None:
 
 
 def solve_triple(delta) -> FeasibilityResult:
-    """Full feasibility ledger for an ordered triple."""
+    """Full feasibility ledger for an ordered triple; the one place a triple is decided."""
     delta = tuple(float(x) for x in delta)
     d1, d2, d3 = delta
-    a, b, c = triple_to_abc(delta)
+    a = (d1 + d2 + d3) / 3.0
+    b = (d2 + d3 - 2.0 * d1 - 6.0) / 3.0
+    c = (2.0 * d3 - d1 - d2 - 6.0) / 3.0
     checks = {
-        "sum_gt_6": {"lhs": d1 + d2 + d3, "ok": d1 + d2 + d3 > 6.0},
-        "mix1_gt_6": {"lhs": d2 + d3 - 2.0 * d1, "ok": d2 + d3 - 2.0 * d1 > 6.0},
-        "mix2_gt_6": {"lhs": 2.0 * d3 - d1 - d2, "ok": 2.0 * d3 - d1 - d2 > 6.0},
-        # once a > 2 and b > 0, mu_1^2 = 1/b - 1/(a-2) > 0 exactly when delta_1 > 0
-        "mu1_pos": {"lhs": d1, "ok": d1 > 0.0},
-        "mu2_pos": {
-            "lhs": 2.0 * (a - c) * (a - 1.0) + b * c,
-            "ok": 2.0 * (a - c) * (a - 1.0) + b * c > 0.0,
-        },
+        name: {"lhs": lhs, "ok": lhs > bound}
+        for name, lhs, bound in (
+            ("sum_gt_6", d1 + d2 + d3, 6.0),
+            ("mix1_gt_6", d2 + d3 - 2.0 * d1, 6.0),
+            ("mix2_gt_6", 2.0 * d3 - d1 - d2, 6.0),
+            # once a > 2 and b > 0, mu_1^2 = 1/b - 1/(a-2) > 0 exactly when delta_1 > 0
+            ("mu1_pos", d1, 0.0),
+            ("mu2_pos", 2.0 * (a - c) * (a - 1.0) + b * c, 0.0),
+        )
     }
     params = None
-    if b != 0.0 and c != 0.0:
-        params = abc_to_params(a, b, c)
+    lam = a / 2.0
+    if lam > 1.0 and b > 0.0 and c > 0.0:
+        p1 = 1.0 / b  # d_1 and d_2 of the family
+        p2 = 4.0 * p1 / c
+        mu1_sq = p1 - 1.0 / (2.0 * (lam - 1.0))
+        mu2_sq = p2 - 2.0 * p1 / lam + 1.0 / (lam * (2.0 * lam - 1.0))
+        if not (mu1_sq <= 0.0 or mu2_sq <= 0.0):  # a NaN passes, for the finiteness check
+            params = (lam, mu1_sq, mu2_sq)
     derived = {"a": a, "b": b, "c": c, **{f"{k} lhs": v["lhs"] for k, v in checks.items()}}
     derived.update(zip(("lambda", "mu1_sq", "mu2_sq"), params or ()))
     _require_finite(derived)
     feasible = all(entry["ok"] for entry in checks.values()) and params is not None
-    # abc_to_params reads mu_1^2 in rounded arithmetic, so it can return
-    # parameters for a triple the ledger rejects; only a feasible triple has them
+    # mu_1^2 is read in rounded arithmetic, so the parameters can pass their own gate
+    # for a triple the ledger rejects; only a feasible triple has them
     return FeasibilityResult(delta=delta, abc=(a, b, c), params=params if feasible else None,
                              checks=checks, feasible=feasible)
 
@@ -183,11 +170,6 @@ def rank2_feasibility(delta1: float, delta2: float) -> Optional[tuple]:
 
 def roundtrip_check(delta) -> float:
     """Residual of [prescribe diagonal -> solve -> rebuild kernel -> read diagonal]."""
-    res = solve_triple(delta)
-    if not res.feasible:
-        raise DegenerateInputError(f"triple {tuple(delta)} is not feasible")
-    lam = res.params[0]
-    spec = Homogeneous(lam=lam, mu=res.mu_vector(), m=2)
-    inv = invariants_at_zero(kernel_taylor(spec, INVARIANT_ORDER))
+    inv = invariants_at_zero(kernel_taylor(solve_triple(delta).kernel(), INVARIANT_ORDER))
     diag = np.real(np.diag(inv.curvature))
     return float(np.abs(diag - np.asarray(delta, dtype=float)).max())

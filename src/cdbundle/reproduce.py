@@ -19,10 +19,9 @@ from .feasibility import (
     permutation_analysis,
     rank2_feasibility,
     roundtrip_check,
-    solve_triple,
 )
 from .invariants import INVARIANT_ORDER, invariants_at_zero
-from .kernels import BergmanPower, DirectSum, Homogeneous, Jet, kernel_taylor, weighted_shift
+from .kernels import BergmanPower, DirectSum, Jet, kernel_taylor, weighted_shift
 from .oracle import curvature_eigenvalues_fd
 
 
@@ -154,20 +153,15 @@ def _perm_scenario(records, delta, region, partner_sigma):
          got == expected, f"got {sorted(got)}")
     _rec(records, "orderings beyond the two allowed swaps are infeasible",
          analysis.respects_exclusions(), "")
-    resid = roundtrip_check(delta)
-    _rec(records, f"roundtrip residual < 1e-9 for {delta}", resid < 1e-9, f"{resid:.2e}")
-    partner = tuple(delta[s - 1] for s in partner_sigma)
-    resid_p = roundtrip_check(partner)
-    _rec(records, f"roundtrip residual < 1e-9 for partner {partner}", resid_p < 1e-9,
-         f"{resid_p:.2e}")
-    r = solve_triple(delta)
-    rp = solve_triple(partner)
+    r, rp = analysis.results[IDENTITY], analysis.results[partner_sigma]
+    for label, res in (("", r), ("partner ", rp)):
+        resid = roundtrip_check(res.delta)
+        _rec(records, f"roundtrip residual < 1e-9 for {label}{res.delta}", resid < 1e-9,
+             f"{resid:.2e}")
     dist = max(abs(x - y) for x, y in zip(r.params, rp.params))
     _rec(records, "partner parameters are distinct", dist > 1e-6, f"max param gap {dist:.3f}")
 
-    k1 = Homogeneous(lam=r.params[0], mu=r.mu_vector(), m=2)
-    k2 = Homogeneous(lam=rp.params[0], mu=rp.mu_vector(), m=2)
-    report = full_report(k1, k2)
+    report = full_report(r.kernel(), rp.kernel())
     _rec(records, "pair verdict eigenvalues_match_only with a (0,1) certificate",
          report.verdict is Verdict.EIGENVALUES_MATCH_ONLY
          and report.certificate["level"] == "(0,1)", report.certificate["reason"])

@@ -248,9 +248,7 @@ def test_criterion_07_roundtrip_uniqueness(rng):
                 partner_ok = False
                 continue
             gap = max(abs(x - y) for x, y in zip(r.params, rp.params))
-            k1 = Homogeneous(lam=r.params[0], mu=r.mu_vector(), m=2)
-            k2 = Homogeneous(lam=rp.params[0], mu=rp.mu_vector(), m=2)
-            rep = full_report(k1, k2)
+            rep = full_report(r.kernel(), rp.kernel())
             partner_ok = partner_ok and gap > 1e-7 and (
                 rep.verdict is Verdict.EIGENVALUES_MATCH_ONLY
                 and rep.certificate["level"] == "(0,1)"

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cdbundle
-from cdbundle import MetricDegeneracyError
+from cdbundle import errors
 from cdbundle.cli import (
     EXIT_DISTINCT,
     EXIT_EIGS_ONLY,
@@ -537,17 +537,50 @@ def test_field_near_the_boundary(tmp_path, capsys):
         assert np.abs(np.array(eigs) - ref).max() / ref.max() < 1e-5, (x, y)
 
 
-def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
+# every class of errors.py, and the two builtin and numpy errors that the library lets through
+ERROR_EXITS = [
+    (errors.MetricDegeneracyError, EXIT_NUMERIC),
+    (errors.SingularLeadingTermError, EXIT_NUMERIC),
+    (errors.WitnessVerificationError, EXIT_NUMERIC),
+    (OverflowError, EXIT_NUMERIC),
+    (errors.DiscDomainError, EXIT_NUMERIC),
+    (np.linalg.LinAlgError, EXIT_NUMERIC),
+    (errors.DimensionMismatchError, EXIT_PARSE),
+    (errors.TruncationOrderError, EXIT_PARSE),
+    (errors.UnsupportedShapeError, EXIT_PARSE),
+    (errors.DegenerateInputError, EXIT_PARSE),
+]
+
+
+@pytest.mark.parametrize("exc, exit_code", ERROR_EXITS, ids=[e.__name__ for e, _ in ERROR_EXITS])
+def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch, exc, exit_code):
     import cdbundle.cli as cli_mod
 
+    declared = {v for v in vars(errors).values()
+                if isinstance(v, type) and v.__module__ == errors.__name__}
+    assert declared <= {e for e, _ in ERROR_EXITS}
+
     def boom(*args, **kwargs):
-        raise MetricDegeneracyError("synthetic degeneracy")
+        raise exc("synthetic failure")
 
     monkeypatch.setattr(cli_mod, "invariants_at_zero", boom)
     path = write(tmp_path, "b2.json", BERGMAN2)
-    code, _, err = run(capsys, ["invariants", "--kernel", path])
-    assert code == EXIT_NUMERIC
-    assert "numeric error" in err
+    code, out, err = run(capsys, ["invariants", "--kernel", path])
+    assert code == exit_code and out == ""
+    prefix = "numeric error: " if exit_code == EXIT_NUMERIC else "error: "
+    assert err == f"{prefix}synthetic failure\n"
+
+
+def test_cli_snapshot_of_the_checkout_against_itself():
+    # the snapshot that backs a "byte-identical" claim: here both sides are this checkout
+    src = str(Path(cdbundle.__file__).parents[1])
+    script = str(Path(__file__).with_name("cli_snapshot.py"))
+    proc = subprocess.run([sys.executable, script, src, src], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr
+    *lines, summary = proc.stdout.splitlines()
+    assert len(lines) > 300 and all(line.startswith("same  ") for line in lines)
+    assert summary == f"{len(lines)}/{len(lines)} identical"
 
 
 @pytest.mark.parametrize("case", sorted(SCENARIOS))

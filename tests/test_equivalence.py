@@ -122,9 +122,7 @@ def test_inverse_problem_partners_fail_at_01_level():
     delta = (1.0, 2.0, 10.5)
     r = solve_triple(delta)
     rp = solve_triple(tuple(delta[s - 1] for s in RHO))
-    k1 = Homogeneous(lam=r.params[0], mu=r.mu_vector(), m=2)
-    k2 = Homogeneous(lam=rp.params[0], mu=rp.mu_vector(), m=2)
-    rep = full_report(k1, k2)
+    rep = full_report(r.kernel(), rp.kernel())
     assert rep.verdict is Verdict.EIGENVALUES_MATCH_ONLY
     assert rep.certificate["level"] == "(0,1)"
     assert "support" in rep.certificate["reason"]

@@ -4,7 +4,6 @@ import pytest
 from cdbundle import (
     DegenerateInputError,
     Homogeneous,
-    abc_to_params,
     check_region,
     invariants_at_zero,
     kernel_taylor,
@@ -12,7 +11,6 @@ from cdbundle import (
     rank2_feasibility,
     roundtrip_check,
     solve_triple,
-    triple_to_abc,
 )
 from cdbundle.feasibility import IDENTITY, RHO, TAU
 
@@ -41,45 +39,52 @@ def sample_feasible_triples(rng, count, distinct=True):
     return out
 
 
-def test_triple_to_abc_reference():
-    assert triple_to_abc((1.0, 2.0, 10.0)) == pytest.approx((13 / 3, 4 / 3, 11 / 3))
+def test_solve_triple_abc_reference():
+    abc = solve_triple((1.0, 2.0, 10.0)).abc
+    assert abc == pytest.approx((13 / 3, 4 / 3, 11 / 3))
     # independent check: solve the linear system directly
     ref = np.linalg.solve(A, np.array([1.0 + 2.0, 2.0, 10.0 - 2.0]))
-    assert np.allclose(triple_to_abc((1.0, 2.0, 10.0)), ref, atol=1e-14)
+    assert np.allclose(abc, ref, atol=1e-14)
 
 
-def test_triple_to_abc_symmetric_and_permuted():
+def test_solve_triple_abc_symmetric_and_permuted():
     s = 0.6
-    a, b, c = triple_to_abc((2.0, 2.0, 2.0 + s))
+    a, b, c = solve_triple((2.0, 2.0, 2.0 + s)).abc
     assert a == pytest.approx((6.0 + s) / 3.0)
     assert b == pytest.approx((s - 6.0) / 3.0)
-    _, b_perm, _ = triple_to_abc((2.0, 1.0, 10.0))
+    _, b_perm, _ = solve_triple((2.0, 1.0, 10.0)).abc
     assert b_perm == pytest.approx(1.0 / 3.0)
 
 
 def test_linear_system_invariant(rng):
     for _ in range(50):
         delta = 12.0 * rng.random(3)
-        x = np.array(triple_to_abc(delta))
+        x = np.array(solve_triple(delta).abc)
         rhs = np.array([delta[0] + 2.0, delta[1], delta[2] - 2.0])
         assert np.abs(A @ x - rhs).max() < 1e-12
 
 
-def test_abc_to_params_reference():
-    params = abc_to_params(13 / 3, 4 / 3, 11 / 3)
-    assert params is not None
-    lam, mu1_sq, mu2_sq = params
+def test_solve_triple_params_reference():
+    res = solve_triple((1.0, 2.0, 10.0))
+    assert res.feasible and res.params is not None
+    lam, mu1_sq, mu2_sq = res.params
     assert lam == pytest.approx(13 / 6)
     assert mu1_sq == pytest.approx(9 / 28)
     assert mu2_sq > 0
     assert mu2_sq == pytest.approx(mu2_sq_closed(13 / 3, 4 / 3, 11 / 3), abs=1e-12)
 
 
-def test_abc_to_params_rejections():
-    assert abc_to_params(2.0, 1.0, 1.0) is None  # lambda = 1 not > 1
-    assert abc_to_params(5.0, -0.5, 1.0) is None  # b < 0
+@pytest.mark.parametrize("delta, abc", [
+    ((-1.0, 2.0, 5.0), (2.0, 1.0, 1.0)),  # lambda = 1 not > 1
+    ((3.5, 3.5, 8.0), (5.0, -0.5, 1.0)),  # b < 0
+    ((1.0, 2.0, 6.0), (3.0, 0.0, 1.0)),  # b = 0 exactly: d_1 = 1/b is undefined
+], ids=["lambda_1", "b_negative", "b_zero"])
+def test_solve_triple_rejections(delta, abc):
+    res = solve_triple(delta)
+    assert res.abc == pytest.approx(abc)
+    assert not res.feasible and res.params is None
     with pytest.raises(DegenerateInputError):
-        abc_to_params(5.0, 0.0, 1.0)
+        res.kernel()
 
 
 def test_mu2_closed_form_agreement(rng):
@@ -202,7 +207,7 @@ def test_feasibility_ledger_equivalence(rng):
 
 
 def test_boundary_triples_are_infeasible():
-    # delta_1 = 0 makes mu_1^2 = 0 exactly; rounding can leave abc_to_params about 1e-16 above it
+    # delta_1 = 0 makes mu_1^2 = 0 exactly; rounding can leave it about 1e-16 above
     halves = np.arange(0.0, 20.5, 0.5)
     for d2 in halves:
         for d3 in halves:
@@ -211,9 +216,12 @@ def test_boundary_triples_are_infeasible():
 
 
 def test_infeasible_triple_carries_no_params():
-    # abc_to_params finds mu_1^2 = 1.1e-16 > 0 here, but delta_1 = 0 fails the ledger
-    assert abc_to_params(*triple_to_abc((0.0, 3.0, 7.0))) is not None
+    # rounded, mu_1^2 = 1/b - 1/(2 (lambda - 1)) reads 1.1e-16 > 0 here, but delta_1 = 0 fails
+    # the ledger
     res = solve_triple((0.0, 3.0, 7.0))
+    a, b, c = res.abc
+    assert a / 2.0 > 1.0 and b > 0.0 and c > 0.0
+    assert 0.0 < 1.0 / b - 1.0 / (2.0 * (a / 2.0 - 1.0)) < 1e-15
     assert not res.feasible and res.params is None
     with pytest.raises(DegenerateInputError):
-        res.mu_vector()
+        res.kernel()

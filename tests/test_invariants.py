@@ -476,6 +476,13 @@ def test_point_invariants_validation():
             d_zbar=np.zeros((2, 2)),
             d_zzbar=None,
         )
+    # the curvature's Hermitian gate is CURVATURE_HERM_TOL = 1e-10, looser than the 1e-12 default
+    near = PointInvariants(curvature=np.array([[1.0, 1e-11], [0.0, 1.0]]), d_zbar=np.zeros((2, 2)),
+                           d_zzbar=None)
+    assert near.curvature[0, 1] == 1e-11
+    with pytest.raises(ValueError, match="not Hermitian within 1e-10"):
+        PointInvariants(curvature=np.array([[1.0, 1e-9], [0.0, 1.0]]), d_zbar=np.zeros((2, 2)),
+                        d_zzbar=None)
 
 
 def test_invariants_need_order_two():
