@@ -13,17 +13,25 @@ A = [[1,-1,0],[1,1,-1],[1,0,1]], whose unique solution is
 Feasibility of the ordered triple is equivalent to lambda > 1, b > 0,
 c > 0, mu_1^2 > 0 and mu_2^2 > 0, with
 
-    mu_1^2 = d_1 - 1/(2 (lambda-1)),
+    mu_1^2 = d_1 - 1/(2 (lambda-1)) = delta_1 / (b (a-2)),
     mu_2^2 = d_2 - 2 d_1/lambda + 1/(lambda (2 lambda-1))
-           = (2 (a-c)(a-1) + b c) / (b c lambda (a-1)).
+           = (2 (a-c)(a-1) + b c) / (b c lambda (a-1)),
 
-All inequalities are strict and evaluated exactly (margin 0); boundary
-triples report infeasible.  :func:`solve_triple` is the one place a triple
-is decided, and its result builds the realizing kernel,
-``Homogeneous(lambda, (1, mu_1, mu_2), m=2)``, through
-:meth:`FeasibilityResult.kernel`.  Triples are ordered tuples throughout — the
-diagonal order is frame data — and multiset questions are answered only by
-:func:`permutation_analysis`.
+    2 (a-c)(a-1) + b c = ( (2 delta_1 + delta_2)(delta_1 + delta_2) + 6 delta_1
+                           + (delta_2 - delta_1) delta_3 ) / 3.
+
+The code uses the cancellation-free forms: mu_1^2 and mu_2^2 from the
+right-hand sides, divided step by step, and the numerator of mu_2^2 in the
+deltas, with its delta_3^2 terms cancelled by hand.  Written in (a, b, c),
+those terms cancel only up to rounding, and the numerator reads 0 at
+(1, 2, 1e18), where its exact value is 3.3e17.  All inequalities are strict
+(margin 0); boundary triples report infeasible.
+
+:func:`solve_triple` is the one place a triple is decided, and its result
+builds the realizing kernel, ``Homogeneous(lambda, (1, mu_1, mu_2), m=2)``,
+through :meth:`FeasibilityResult.kernel`.  Triples are ordered tuples
+throughout — the diagonal order is frame data — and multiset questions are
+answered only by :func:`permutation_analysis`.
 """
 
 from __future__ import annotations
@@ -85,6 +93,8 @@ def solve_triple(delta) -> FeasibilityResult:
     a = (d1 + d2 + d3) / 3.0
     b = (d2 + d3 - 2.0 * d1 - 6.0) / 3.0
     c = (2.0 * d3 - d1 - d2 - 6.0) / 3.0
+    # the numerator of mu_2^2, 2 (a - c)(a - 1) + b c, with its d3^2 terms cancelled by hand
+    mu2_num = ((2.0 * d1 + d2) * (d1 + d2) + 6.0 * d1 + (d2 - d1) * d3) / 3.0
     checks = {
         name: {"lhs": lhs, "ok": lhs > bound}
         for name, lhs, bound in (
@@ -93,24 +103,22 @@ def solve_triple(delta) -> FeasibilityResult:
             ("mix2_gt_6", 2.0 * d3 - d1 - d2, 6.0),
             # once a > 2 and b > 0, mu_1^2 = 1/b - 1/(a-2) > 0 exactly when delta_1 > 0
             ("mu1_pos", d1, 0.0),
-            ("mu2_pos", 2.0 * (a - c) * (a - 1.0) + b * c, 0.0),
+            ("mu2_pos", mu2_num, 0.0),
         )
     }
     params = None
     lam = a / 2.0
     if lam > 1.0 and b > 0.0 and c > 0.0:
-        p1 = 1.0 / b  # d_1 and d_2 of the family
-        p2 = 4.0 * p1 / c
-        mu1_sq = p1 - 1.0 / (2.0 * (lam - 1.0))
-        mu2_sq = p2 - 2.0 * p1 / lam + 1.0 / (lam * (2.0 * lam - 1.0))
+        mu1_sq = d1 / b / (a - 2.0)
+        mu2_sq = mu2_num / b / c / lam / (a - 1.0)
         if not (mu1_sq <= 0.0 or mu2_sq <= 0.0):  # a NaN passes, for the finiteness check
             params = (lam, mu1_sq, mu2_sq)
     derived = {"a": a, "b": b, "c": c, **{f"{k} lhs": v["lhs"] for k, v in checks.items()}}
     derived.update(zip(("lambda", "mu1_sq", "mu2_sq"), params or ()))
     _require_finite(derived)
     feasible = all(entry["ok"] for entry in checks.values()) and params is not None
-    # mu_1^2 is read in rounded arithmetic, so the parameters can pass their own gate
-    # for a triple the ledger rejects; only a feasible triple has them
+    # mu_1^2 and mu_2^2 can underflow to 0 for a triple the ledger accepts, which is then
+    # infeasible; only a feasible triple has parameters
     return FeasibilityResult(delta=delta, abc=(a, b, c), params=params if feasible else None,
                              checks=checks, feasible=feasible)
 

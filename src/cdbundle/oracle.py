@@ -29,8 +29,9 @@ n-point column z0 + r q^j against the n-point row z0 + conj(r q^k),
 q = exp(2 pi i / n), which broadcast to the n x n point pairs off the
 diagonal of K, and two products with the first rows of the DFT matrix.
 The formulas above then act on truncated jets, polynomials in u and v with
-d -> d/du, dbar -> d/dv and products truncated, read at u = v = 0: forward
-substitution solves h G = dh, and the invariants are cells of G.  The
+d -> d/du, dbar -> d/dv and products truncated, read at u = v = 0: h G = dh is
+one linear system in the cells of G, whose matrix is gathered from the cells
+of the jet of h, and the invariants are cells of G.  The
 curvature reads a 2 x 2 jet (n = 6, 36 pairs), the derivatives a 3 x 3 jet
 (n = 12, 144 pairs), each on its own radius (below).
 The triple at 0 appends the centre u = v = 0 to the column and the row of
@@ -50,7 +51,7 @@ r^4: the derivatives and the triple at 0 take f = 0.05.  Aliasing bounds the
 2 x 2 jet of the curvature, which divides by r^2 only: it takes f = 0.01,
 where 6 points per circle reach the round-off floor of eps / r^2.  Worst
 deviations from the series path at 0, curvature / (0,1) / (1,1):
-8.2e-14 / 2.1e-13 / 8.7e-11 on the 12-kernel fixture set, 1.1e-13 / 2.5e-13 /
+8.6e-14 / 2.1e-13 / 8.7e-11 on the 12-kernel fixture set, 1.1e-13 / 2.5e-13 /
 7.8e-11 on the 32-spec held-out corpus and 9.5e-13 / 1.7e-12 / 1.1e-9 on a
 36-spec wide sample with exponents up to 60.  Off 0, the curvature
 eigenvalues follow the (1 - |z|^2)^-2 transport of those at 0 to 3.0e-10
@@ -78,6 +79,19 @@ _RADIUS_CURVATURE = 0.01
 _N_CURVATURE = 6
 _RADIUS_DERIVATIVES = 0.05
 _N_DERIVATIVES = 12
+
+
+def _product_index() -> np.ndarray:
+    """Block ((p, q), (i, j)) of the jet product c[:2] G, cells numbered 3 p + q: the
+    cell 3 (p - i) + (q - j) of c[:2] when i <= p and j <= q, else 6, a zero block."""
+    p, q = np.divmod(np.arange(6), 3)
+    dp, dq = p[:, None] - p, q[:, None] - q
+    index = np.where((dp >= 0) & (dq >= 0), 3 * dp + dq, 6)
+    index.flags.writeable = False
+    return index
+
+
+_PRODUCT = _product_index()
 
 
 @lru_cache(maxsize=None)
@@ -120,31 +134,32 @@ def _jets(spec: KernelSpec, z: complex, depth: int, n: int, radius: float,
     return (c, K[n, n].T) if centre else c
 
 
-def _invariants(c: np.ndarray) -> tuple:
+def _invariants(c: np.ndarray) -> np.ndarray:
     """Raw-frame curvature, (0,1) and (1,1) derivatives at the centre of a 3 x 3 jet c of h.
 
-    The jet of G = h^{-1} dh solves h G = dh cell by cell over the truncated
-    jets, dh = d/du c: with A = h(z)^{-1} c, whose A[0, 0] is the identity,
-    G[p, q] = (p + 1) A[p + 1, q] minus the sum of A[i, j] G[p - i, q - j]
-    over 0 < i + j, i <= p, j <= q, written out below in order of p and then q.
-    With K = dbar G and F = dK + [G, K], read at u = v = 0: the curvature is
-    K[0,0] = G[0,1], its dbar derivative K[0,1] = 2 G[0,2] and dbar F =
-    2 G[1,2] + [G[0,0], K[0,1]] (the term [G[0,1], K[0,0]] vanishes).
+    Shape (3, rank, rank).  The jet of G = h^{-1} dh solves h G = dh over the
+    truncated jets, dh = d/du c: cell (p, q), p < 2, q < 3, of the product is the
+    sum of c[p - i, q - j] G[i, j] over i <= p, j <= q, so the six cells of G come
+    from one solve against the block matrix gathered through _PRODUCT, with
+    right-hand side (p + 1) c[p + 1, q].  With K = dbar G and F = dK + [G, K],
+    read at u = v = 0: the curvature is K[0,0] = G[0,1], its dbar derivative
+    K[0,1] = 2 G[0,2] and dbar F = 2 G[1,2] + [G[0,0], K[0,1]] (the term
+    [G[0,1], K[0,0]] vanishes).
     """
-    (_, a01, a02), (a10, a11, a12), (a20, a21, a22) = np.linalg.solve(c[0, 0], c)
-    g00 = a10
-    g01 = a11 - a01 @ g00
-    g02 = a12 - a01 @ g01 - a02 @ g00
-    g10 = 2.0 * a20 - a10 @ g00
-    g11 = 2.0 * a21 - a01 @ g10 - a10 @ g01 - a11 @ g00
-    g12 = 2.0 * a22 - a01 @ g11 - a02 @ g10 - a10 @ g02 - a11 @ g01 - a12 @ g00
-    return g01, 2.0 * g02, 2.0 * (g12 + g00 @ g02 - g02 @ g00)
+    m = c.shape[-1]
+    blocks = np.concatenate((c[:2].reshape(6, m, m), np.zeros((1, m, m), c.dtype)))
+    product = blocks[_PRODUCT].swapaxes(1, 2).reshape(6 * m, 6 * m)
+    dh = np.concatenate((c[1], 2.0 * c[2])).reshape(6 * m, m)
+    (g00, g01, g02), (_, _, g12) = np.linalg.solve(product, dh).reshape(2, 3, m, m)
+    return np.array((g01, 2.0 * g02, 2.0 * (g12 + g00 @ g02 - g02 @ g00)))
 
 
 def curvature_fd(spec: KernelSpec, z: complex) -> np.ndarray:
     """Raw-frame curvature h^{-1} (c11 - c01 h^{-1} c10) at z: G[0,1] of a 2 x 2 jet.
 
-    With A = h(z)^{-1} c as in :func:`_invariants`, that is A[1,1] - A[0,1] A[1,0].
+    With A = h(z)^{-1} c from one solve against h(z) alone, that is
+    A[1,1] - A[0,1] A[1,0], the cell G[0,1] of the block system of
+    :func:`_invariants` without building it.
     """
     c = _jets(spec, z, 2, _N_CURVATURE, _RADIUS_CURVATURE)
     (_, a01), (a10, a11) = np.linalg.solve(c[0, 0], c)
@@ -200,8 +215,8 @@ def oracle_invariants_at_zero(spec: KernelSpec) -> dict:
     :func:`to_orthonormal_frame`.
     """
     c, h0 = _jets(spec, 0.0, 3, _N_DERIVATIVES, _RADIUS_DERIVATIVES, centre=True)
-    raw = np.stack(_invariants(c))
-    return dict(zip(("curvature", "d_zbar", "d_zzbar"), to_orthonormal_frame(raw, h0)))
+    orthonormal = to_orthonormal_frame(_invariants(c), h0)
+    return dict(zip(("curvature", "d_zbar", "d_zzbar"), orthonormal))
 
 
 def curvature_eigenvalues_fd(spec: KernelSpec, z: complex) -> np.ndarray:

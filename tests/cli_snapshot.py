@@ -59,6 +59,9 @@ FEASIBLE_ARGV = (
         ["feasible", "--triple", "0,3,7", "--permutations"],
         ["feasible", "--triple", "1e308,1e308,1e308"],  # overflow in a
         ["feasible", "--triple", "1e200,1e200,3e200", "--permutations"],  # overflow in mu2_pos
+        ["feasible", "--triple", "1,2,1e10"],  # mu2_pos lhs in the deltas, no cancellation
+        ["feasible", "--triple", "1,2,1e18"],
+        ["feasible", "--triple", "1,2,1e18", "--permutations"],
         ["feasible", "--triple", "nan,2,10"],
         ["feasible", "--triple", "1,2"],
         ["feasible", "--pair", "1,5"],
@@ -100,6 +103,7 @@ def invocations(tmp: Path) -> list:
     """The fixed invocation list, over spec files written once to tmp."""
     from conftest import held_out_corpus, zoo_fixtures
 
+    from cdbundle.feasibility import RHO, TAU, solve_triple
     from cdbundle.kernels import spec_to_dict
     from cdbundle.reproduce import example1_pair, example2_pair
 
@@ -109,6 +113,13 @@ def invocations(tmp: Path) -> list:
     paper = [(_put(tmp, f"paper{i}_left.json", spec_to_dict(left)),
               _put(tmp, f"paper{i}_right.json", spec_to_dict(right)))
              for i, (left, right) in enumerate(pairs)]
+    # the kernels of the perm1 and perm2 triples of reproduce and of their partner orderings
+    perm = []
+    for i, (delta, sigma) in enumerate([((1.0, 2.0, d3), RHO) for d3 in (9.5, 10.5, 11.5)]
+                                       + [((d1, 7.5, 8.0), TAU) for d1 in (0.25, 0.5, 0.75)]):
+        partner = tuple(delta[s - 1] for s in sigma)
+        perm.append(tuple(_put(tmp, f"perm{i}_{side}.json", spec_to_dict(solve_triple(d).kernel()))
+                          for side, d in (("left", delta), ("right", partner))))
     edges = [_put(tmp, name, doc) for name, doc in NUMERIC_EDGES.items()]
     bad = [_put(tmp, name, doc) for name, doc in MALFORMED.items()] + [str(tmp / "missing.json")]
     out = str(tmp / "field.csv")
@@ -124,6 +135,7 @@ def invocations(tmp: Path) -> list:
     ]
     argv += [["equiv", "--left", a, "--right", b] for a in zoo for b in zoo]
     argv += [["equiv", "--left", a, "--right", b] for a, b in paper]
+    argv += [["equiv", "--left", a, "--right", b] for pair in perm for a, b in (pair, pair[::-1])]
     argv += [["equiv", "--left", a, "--right", zoo[0]] for a in edges + bad]
     argv += FEASIBLE_ARGV
     argv += [["reproduce", "--case", c] for c in ("example1", "example2", "perm1", "perm2", "rank2")]

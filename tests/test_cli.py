@@ -169,6 +169,16 @@ def test_feasible_triple_with_permutations(capsys):
     assert json.loads(out)["feasible_sigmas"] == ["123", "132"]
 
 
+def test_feasible_triple_with_a_huge_third_entry(capsys):
+    # the mu2_pos lhs keeps its value where 2 (a - c)(a - 1) + b c read 0
+    code, out, _ = run(capsys, ["feasible", "--triple", "1,2,1e18"])
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["checks"]["mu2_pos"] == {"lhs": pytest.approx(1e18 / 3, rel=1e-15), "ok": True}
+    assert doc["feasible"] is True
+    assert doc["params"]["lambda"] == pytest.approx(1e18 / 6, rel=1e-15)
+
+
 def test_infeasible_triple_prints_null_params(capsys):
     code, out, _ = run(capsys, ["feasible", "--triple", "0,3,7", "--permutations"])
     assert code == EXIT_OK

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,56 @@ def test_solve_triple_rejections(delta, abc):
     assert not res.feasible and res.params is None
     with pytest.raises(DegenerateInputError):
         res.kernel()
+
+
+def exact_ledger(delta):
+    """(lhs of mu2_pos, mu_1^2, mu_2^2) of the float triple, in exact rational arithmetic
+    from the unsimplified forms 2 (a - c)(a - 1) + b c, 1/b - 1/(a - 2) and the ratio of
+    that lhs to b c lambda (a - 1)."""
+    d1, d2, d3 = (Fraction(x) for x in delta)
+    a = (d1 + d2 + d3) / 3
+    b = (d2 + d3 - 2 * d1 - 6) / 3
+    c = (2 * d3 - d1 - d2 - 6) / 3
+    lhs = 2 * (a - c) * (a - 1) + b * c
+    return lhs, 1 / b - 1 / (a - 2), lhs / (b * c * (a / 2) * (a - 1))
+
+
+def relative_error(value, exact):
+    return float(abs(Fraction(value) - exact) / abs(exact))
+
+
+def test_ledger_and_parameters_against_exact_arithmetic():
+    # the mu2_pos lhs as written in (a, b, c) loses its d3^2 terms to cancellation: on these
+    # triples, with d3 up to 1e18, it read a worst relative error of 21 (and 0 in place of
+    # 3.3e17 at (1, 2, 1e18)); the form in the deltas reads 1.2e-14.  mu_1^2 and mu_2^2, from
+    # the identities divided step by step, read 4.0e-15 and 3.3e-15 on the feasible triples
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(2000):
+        d1, d2 = rng.uniform(-5.0, 20.0, 2)
+        delta = (float(d1), float(d2), float(10.0 ** rng.uniform(0.0, 18.0)))
+        lhs = solve_triple(delta).checks["mu2_pos"]["lhs"]
+        worst = max(worst, relative_error(lhs, exact_ledger(delta)[0]))
+    assert worst <= 1e-12, worst
+    worst1 = worst2 = 0.0
+    for delta in sample_feasible_triples(rng, 500, distinct=False):
+        _, mu1_sq, mu2_sq = solve_triple(delta).params
+        _, exact1, exact2 = exact_ledger(delta)
+        worst1 = max(worst1, relative_error(mu1_sq, exact1))
+        worst2 = max(worst2, relative_error(mu2_sq, exact2))
+    assert worst1 <= 1e-13 and worst2 <= 1e-13, (worst1, worst2)
+    assert solve_triple((0.25, 7.5, 8.0)).params[1] == 1 / 39
+
+
+def test_huge_third_entry_keeps_its_ledger():
+    # at (1, 2, 1e18) the mu2_pos lhs is (12 + 6 + 1e18) / 3; written in (a, b, c) it read 0,
+    # and the triple was infeasible
+    delta = (1.0, 2.0, 1e18)
+    res = solve_triple(delta)
+    assert res.feasible
+    got = (res.checks["mu2_pos"]["lhs"],) + res.params[1:]
+    for value, exact in zip(got, exact_ledger(delta)):
+        assert relative_error(value, exact) <= 1e-15, (value, exact)
 
 
 def test_mu2_closed_form_agreement(rng):

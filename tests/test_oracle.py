@@ -170,10 +170,26 @@ def block_toeplitz_invariants(c):
     gk = (_times(g) @ k.reshape(-1, k.shape[-1])).reshape(k.shape)
     kg = (_times(k) @ g.reshape(-1, g.shape[-1])).reshape(g.shape)
     F = K[1:] + gk - kg
-    return K[0, 0], K[0, 1], F[0, 1]
+    return np.stack((K[0, 0], K[0, 1], F[0, 1]))
 
 
-def test_forward_substitution_matches_the_block_toeplitz_solve():
+def forward_substitution_invariants(c):
+    """The same triple with h G = dh solved cell by cell: with A = h^{-1} c, whose A[0, 0]
+    is the identity, G[p, q] = (p + 1) A[p + 1, q] minus the sum of A[i, j] G[p - i, q - j]
+    over 0 < i + j, i <= p, j <= q, written out in order of p and then q."""
+    (_, a01, a02), (a10, a11, a12), (a20, a21, a22) = np.linalg.solve(c[0, 0], c)
+    g00 = a10
+    g01 = a11 - a01 @ g00
+    g02 = a12 - a01 @ g01 - a02 @ g00
+    g10 = 2.0 * a20 - a10 @ g00
+    g11 = 2.0 * a21 - a01 @ g10 - a10 @ g01 - a11 @ g00
+    g12 = 2.0 * a22 - a01 @ g11 - a02 @ g10 - a10 @ g02 - a11 @ g01 - a12 @ g00
+    return np.stack((g01, 2.0 * g02, 2.0 * (g12 + g00 @ g02 - g02 @ g00)))
+
+
+def connection_test_jets():
+    """3 x 3 jets: the zoo at 0 and at 0.3 - 0.2j, and 20 seeded random jets of ranks 1 to 4
+    whose c[0, 0] is Hermitian positive definite."""
     rng = np.random.default_rng(23)
     jets = [oracle._jets(spec, z, 3, oracle._N_DERIVATIVES, oracle._RADIUS_DERIVATIVES)
             for _, spec in zoo_fixtures() for z in (0.0, 0.3 - 0.2j)]
@@ -184,14 +200,41 @@ def test_forward_substitution_matches_the_block_toeplitz_solve():
             a = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
             c[0, 0] = a @ a.conj().T + rank * np.eye(rank)  # Hermitian positive definite
             jets.append(c)
-    for c in jets:
-        got, want = np.stack(oracle._invariants(c)), np.stack(block_toeplitz_invariants(c))
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    return jets
+
+
+def test_gathered_matrix_is_the_block_toeplitz_product(monkeypatch):
+    # the matrix that _invariants gathers through _PRODUCT and hands to its one solve is
+    # the einsum-built left multiplication by c[:2], bit for bit
+    solve = np.linalg.solve
+    systems = []
+
+    def recording(a, b):
+        systems.append((a, b))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    for c in connection_test_jets():
+        systems.clear()
+        oracle._invariants(c)
+        assert len(systems) == 1
+        matrix, rhs = systems[0]
+        assert np.array_equal(matrix, _times(c[:2]))
+        assert np.array_equal(rhs, (c[1:] * np.array([1.0, 2.0])[:, None, None, None])
+                              .reshape(-1, c.shape[-1]))
+
+
+def test_gathered_solve_matches_forward_substitution_and_block_toeplitz():
+    for c in connection_test_jets():
+        got = oracle._invariants(c)
+        assert got.shape == (3,) + c.shape[2:]
+        for reference in (forward_substitution_invariants, block_toeplitz_invariants):
+            want = reference(c)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), reference
         # the curvature cell is h^-1 (c11 - c01 h^-1 c10), the formula of the curvature route
         h_inv = np.linalg.inv(c[0, 0])
         curvature = h_inv @ (c[1, 1] - c[0, 1] @ h_inv @ c[1, 0])
-        got = oracle._invariants(c)[0]
-        assert np.abs(got - curvature).max() <= 1e-12 * np.abs(curvature).max()
+        assert np.abs(got[0] - curvature).max() <= 1e-12 * np.abs(curvature).max()
 
 
 @pytest.mark.parametrize("z", [0.0, 0.1 + 0.2j])
@@ -246,6 +289,31 @@ def test_oracle_at_zero_evaluates_once_and_reads_h0_from_the_centre(monkeypatch)
         oracle_invariants_at_zero(spec)
         assert len(metrics) == 1, name
         assert metrics[0].tobytes() == spec.metric_at(0.0).tobytes(), name
+
+
+def test_oracle_at_zero_solves_once(monkeypatch):
+    # h G = dh is one linear system, and the frame step receives the (3, rank, rank) triple
+    # that _invariants returns
+    solve, frame = np.linalg.solve, oracle.to_orthonormal_frame
+    solves, stacks = [], []
+
+    def counting_solve(a, b):
+        solves.append(np.shape(a))
+        return solve(a, b)
+
+    def recording_frame(M, h0):
+        stacks.append(M)
+        return frame(M, h0)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(oracle, "to_orthonormal_frame", recording_frame)
+    for name, spec in zoo_fixtures():
+        solves.clear()
+        stacks.clear()
+        oracle_invariants_at_zero(spec)
+        m = spec.rank
+        assert solves == [(6 * m, 6 * m)], name
+        assert len(stacks) == 1 and stacks[0].shape == (3, m, m), name
 
 
 @pytest.mark.parametrize("route", [curvature_fd, covd_zbar_fd, covd_zzbar_fd])
