@@ -9,10 +9,12 @@ printed with 17 significant digits, complex entries as {"re": .., "im": ..}
 fixed point.
 
 Exit codes: 0 success (and verdict "equivalent" for equiv), 2 argument or
-spec parse failure, 3 numeric degeneracy (and, for invariants, an oracle
-residual above its tolerance; the report is still printed),
-10 eigenvalues_match_only, 11 distinct; reproduce exits 1 when any
-assertion fails.
+spec parse failure, 3 numeric degeneracy or a value that fails its check:
+for invariants an oracle residual above its tolerance (the report is still
+printed); for field a row off the transport of the eigenvalues at 0, and for
+feasible printed parameters whose kernel does not give back the diagonal
+(nothing is printed or written then); 10 eigenvalues_match_only,
+11 distinct; reproduce exits 1 when any assertion fails.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 from .equivalence import TOLERANCES, Verdict, full_report
 from .errors import DiscDomainError
 from .feasibility import permutation_analysis, rank2_feasibility, solve_triple
-from .invariants import INVARIANT_ORDER, invariants_at_zero
-from .kernels import kernel_taylor, spec_from_dict, spec_to_dict
+from .invariants import INVARIANT_ORDER, invariants_at_zero, transport_eigenvalues
+from .kernels import Homogeneous, kernel_taylor, spec_from_dict, spec_to_dict
 from .oracle import (
     ORACLE_CROSS_CHECK_TOL,
     curvature_eigenvalues_fd,
@@ -46,6 +48,10 @@ EXIT_DISTINCT = 11
 # the class hierarchy of errors.py decides exit 3: every ArithmeticError (the metric, leading-term
 # and witness errors, OverflowError) and the two ValueErrors that are numeric
 _NUMERIC_ERRORS = (ArithmeticError, DiscDomainError, np.linalg.LinAlgError)
+# each field row against the transport of the series eigenvalues at 0, relative to the
+# row's largest; and each printed diagonal against the kernel's, relative to its largest
+FIELD_TRANSPORT_TOL = 1e-5
+ROUNDTRIP_TOL = 1e-9
 
 
 def _fmt_float(x: float) -> str:
@@ -177,6 +183,21 @@ def _params(params) -> dict | None:
     return dict(zip(("lambda", "mu1_sq", "mu2_sq"), params))
 
 
+def _check_realized(kernel: Homogeneous, delta: tuple) -> None:
+    """Raise ArithmeticError unless the series path reads `delta` back as the curvature
+    diagonal at 0 of `kernel`, within ROUNDTRIP_TOL relative to its largest entry."""
+    try:
+        curvature = invariants_at_zero(kernel_taylor(kernel, INVARIANT_ORDER)).curvature
+    except (ArithmeticError, ValueError) as exc:  # a degenerate metric, a lambda too large
+        raise ArithmeticError(f"cannot check the parameters for {delta}: {exc}") from None
+    diagonal = np.real(np.diag(curvature))
+    miss = np.abs(diagonal - delta).max() / np.abs(delta).max()
+    if not miss <= ROUNDTRIP_TOL:
+        raise ArithmeticError(f"the parameters for {delta} give the curvature diagonal "
+                              f"{tuple(diagonal.tolist())}, {miss:.3e} relative from it "
+                              f"(tolerance {ROUNDTRIP_TOL:g})")
+
+
 def cmd_feasible(args) -> int:
     if args.pair is not None:
         if args.triple is not None:
@@ -185,6 +206,8 @@ def cmd_feasible(args) -> int:
             raise ValueError("'--permutations' does not go with --pair")
         d1, d2 = _parse_tuple(args.pair, 2)
         sol = rank2_feasibility(d1, d2)
+        if sol is not None:
+            _check_realized(Homogeneous(sol[0], (1.0, float(np.sqrt(sol[1]))), m=1), (d1, d2))
         doc = {
             "inputs": {"pair": [d1, d2], "rank2": True},
             "feasible": sol is not None,
@@ -196,6 +219,7 @@ def cmd_feasible(args) -> int:
         raise ValueError("provide --triple d1,d2,d3 or --pair d1,d2")
     delta = _parse_tuple(args.triple, 3)
     res = solve_triple(delta)
+    results = [res]
     doc = {
         "inputs": {"triple": list(delta), "permutations": bool(args.permutations)},
         "abc": list(res.abc),
@@ -215,8 +239,27 @@ def cmd_feasible(args) -> int:
         }
         doc["feasible_sigmas"] = ["".join(map(str, s)) for s in analysis.feasible_sigmas]
         doc["respects_exclusions"] = analysis.respects_exclusions()
+        results += analysis.results.values()
+    for r in {r.delta: r for r in results if r.feasible}.values():  # each printed set once
+        _check_realized(r.kernel(), r.delta)
     _emit("feasible", doc)
     return EXIT_OK
+
+
+def _check_transport(spec, points: list, rows: list) -> None:
+    """Raise ArithmeticError unless each field row is the transport of the series path's
+    eigenvalues at 0 to its point (x, y).  Every spec type is homogeneous, so it must be."""
+    inv0 = invariants_at_zero(kernel_taylor(spec, INVARIANT_ORDER))
+    misses = []
+    for (x, y), eigs in zip(points, rows):
+        want = transport_eigenvalues(inv0, complex(x, y))
+        misses.append(np.abs(eigs - want).max() / np.abs(want).max())
+    worst = int(np.argmax(misses))
+    if not misses[worst] <= FIELD_TRANSPORT_TOL:
+        x, y = points[worst]
+        raise ArithmeticError(
+            f"curvature eigenvalues at x = {x:.17g}, y = {y:.17g} miss the transport of those "
+            f"at 0 by {misses[worst]:.3e} relative (tolerance {FIELD_TRANSPORT_TOL:g})")
 
 
 def cmd_field(args) -> int:
@@ -226,16 +269,14 @@ def cmd_field(args) -> int:
     if not 0.0 < args.radius < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {args.radius}")
     axis = np.linspace(-args.radius, args.radius, args.grid)
-    lines = ["x,y," + ",".join(f"eig{i + 1}" for i in range(spec.rank))]
+    points = [(x, y) for y in axis for x in axis if np.hypot(x, y) <= args.radius + 1e-12]
     # a kernel that overflows near the edge ends in the oracle's OverflowError, not in warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for y in axis:
-            for x in axis:
-                if np.hypot(x, y) > args.radius + 1e-12:
-                    continue
-                eigs = curvature_eigenvalues_fd(spec, complex(x, y))
-                row = [_fmt_float(x), _fmt_float(y)] + [_fmt_float(v) for v in eigs]
-                lines.append(",".join(row))
+        rows = [curvature_eigenvalues_fd(spec, complex(x, y)) for x, y in points]
+    _check_transport(spec, points, rows)
+    lines = ["x,y," + ",".join(f"eig{i + 1}" for i in range(spec.rank))]
+    for (x, y), eigs in zip(points, rows):
+        lines.append(",".join([_fmt_float(x), _fmt_float(y)] + [_fmt_float(v) for v in eigs]))
     payload = "\n".join(lines) + "\n"
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(payload)

@@ -27,7 +27,8 @@ The trapezoidal rule on the torus |u| = |v| = r (Lyness and Moler, SIAM J.
 Numer. Anal. 4, 1967) gives the c[a,b] from one ``evaluate`` call, on the
 n-point column z0 + r q^j against the n-point row z0 + conj(r q^k),
 q = exp(2 pi i / n), which broadcast to the n x n point pairs off the
-diagonal of K, and two products with the first rows of the DFT matrix.
+diagonal of K, and one product of those n^2 values with the Kronecker weights
+dft[a, j] dft[b, k] of the first rows of the DFT matrix.
 The formulas above then act on truncated jets, polynomials in u and v with
 d -> d/du, dbar -> d/dv and products truncated, read at u = v = 0: h G = dh is
 one linear system in the cells of G, whose matrix is gathered from the cells
@@ -51,11 +52,11 @@ r^4: the derivatives and the triple at 0 take f = 0.05.  Aliasing bounds the
 2 x 2 jet of the curvature, which divides by r^2 only: it takes f = 0.01,
 where 6 points per circle reach the round-off floor of eps / r^2.  Worst
 deviations from the series path at 0, curvature / (0,1) / (1,1):
-8.6e-14 / 2.1e-13 / 8.7e-11 on the 12-kernel fixture set, 1.1e-13 / 2.5e-13 /
-7.8e-11 on the 32-spec held-out corpus and 9.5e-13 / 1.7e-12 / 1.1e-9 on a
+8.2e-14 / 2.3e-13 / 9.3e-11 on the 12-kernel fixture set, 1.1e-13 / 2.7e-13 /
+7.5e-11 on the 32-spec held-out corpus and 9.0e-13 / 2.5e-12 / 1.1e-9 on a
 36-spec wide sample with exponents up to 60.  Off 0, the curvature
 eigenvalues follow the (1 - |z|^2)^-2 transport of those at 0 to 3.0e-10
-relative on the held-out corpus and 1.2e-5 on the wide sample
+relative on the held-out corpus and 1.3e-5 on the wide sample
 (jet(40, 40, 2)), at |z| up to 0.52 (all in the test suite).
 """
 
@@ -97,15 +98,18 @@ _PRODUCT = _product_index()
 @lru_cache(maxsize=None)
 def _torus(depth: int, n: int, centre: bool = False) -> tuple:
     """The torus of radius 1 as u, an (n, 1) column, and conj v, a (1, n) row, which
-    broadcast to its n x n point pairs; the first `depth` rows of the n-point DFT
-    matrix divided by n; and the exponents a + b.  With `centre`, u = v = 0 closes
-    column and row as an (n + 1)-th point, so the pairs also hold the centre."""
+    broadcast to its n x n point pairs; the (depth^2, n^2) Kronecker weights
+    dft[a, j] dft[b, k] of the first `depth` rows of the n-point DFT matrix divided by n,
+    rows (a, b) and columns (j, k) in C order; and the exponents a + b as a column.
+    With `centre`, u = v = 0 closes column and row as an (n + 1)-th point, so the pairs
+    also hold the centre."""
     circle = np.exp(2j * np.pi * np.arange(n) / n)
     dft = np.conj(circle[: depth, None] ** np.arange(n)) / n
+    weights = np.kron(dft, dft)
     power = np.arange(depth)
-    exponents = np.add.outer(power, power)[..., None, None]
+    exponents = np.add.outer(power, power).reshape(-1, 1)
     points = np.append(circle, 0.0) if centre else circle
-    return points[:, None], np.conj(points)[None, :], dft, exponents
+    return points[:, None], np.conj(points)[None, :], weights, exponents
 
 
 def _jets(spec: KernelSpec, z: complex, depth: int, n: int, radius: float,
@@ -113,8 +117,9 @@ def _jets(spec: KernelSpec, z: complex, depth: int, n: int, radius: float,
     """c[a, b] for a, b < depth: the Taylor coefficients of H(z + u, conj z + v).
 
     Shape (depth, depth, rank, rank).  One ``evaluate`` call on the n x n
-    torus |u| = |v| = r = radius (1 - |z|), then the DFT rows times the points
-    of u and of v; swapping the last two axes transposes K into h.  With `centre`, the same
+    torus |u| = |v| = r = radius (1 - |z|), then one product of the Kronecker weights
+    with the n x n block of values, one row per point pair, and one division by
+    r^(a+b); swapping the last two axes transposes K into h.  With `centre`, the same
     call also covers the pair (z, z), and the pair (c, h(z)) is returned.
     Raises OverflowError when the jet is not finite, as when the kernel
     overflows on the torus.
@@ -122,11 +127,11 @@ def _jets(spec: KernelSpec, z: complex, depth: int, n: int, radius: float,
     if abs(z) >= 1.0:
         raise DiscDomainError(f"|z| must be < 1, got {abs(z)}")
     r = radius * (1.0 - abs(z))
-    u, w, dft, power = _torus(depth, n, centre)
+    u, w, weights, power = _torus(depth, n, centre)
     K = spec.evaluate(z + r * u, z + r * w)  # indexed [j, k, x, y]
     m = K.shape[-1]
-    half = (dft @ K[:n, :n].reshape(n, -1)).reshape(depth, n, m * m)  # [a, k, xy]
-    c = np.swapaxes((dft @ half).reshape(depth, depth, m, m), -1, -2) / r ** power
+    c = (weights @ K[:n, :n].reshape(n * n, m * m) / r ** power).reshape(depth, depth, m, m)
+    c = c.swapaxes(-1, -2)
     finite = np.isfinite(c)
     if not finite.all():
         raise OverflowError(f"kernel value near z = {z} is not finite "
@@ -157,13 +162,14 @@ def _invariants(c: np.ndarray) -> np.ndarray:
 def curvature_fd(spec: KernelSpec, z: complex) -> np.ndarray:
     """Raw-frame curvature h^{-1} (c11 - c01 h^{-1} c10) at z: G[0,1] of a 2 x 2 jet.
 
-    With A = h(z)^{-1} c from one solve against h(z) alone, that is
-    A[1,1] - A[0,1] A[1,0], the cell G[0,1] of the block system of
-    :func:`_invariants` without building it.
+    With A = h(z)^{-1} c from one solve against h(z) alone, factored once for the
+    m x 4m block [c00 c01 c10 c11], that is A[1,1] - A[0,1] A[1,0], the cell G[0,1]
+    of the block system of :func:`_invariants` without building it.
     """
     c = _jets(spec, z, 2, _N_CURVATURE, _RADIUS_CURVATURE)
-    (_, a01), (a10, a11) = np.linalg.solve(c[0, 0], c)
-    return a11 - a01 @ a10
+    m = c.shape[-1]
+    a = np.linalg.solve(c[0, 0], c.transpose(2, 0, 1, 3).reshape(m, 4 * m))
+    return a[:, 3 * m:] - a[:, m:2 * m] @ a[:, 2 * m:3 * m]
 
 
 def covd_zbar_fd(spec: KernelSpec, z: complex) -> np.ndarray:

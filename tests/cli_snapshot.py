@@ -62,6 +62,9 @@ FEASIBLE_ARGV = (
         ["feasible", "--triple", "1,2,1e10"],  # mu2_pos lhs in the deltas, no cancellation
         ["feasible", "--triple", "1,2,1e18"],
         ["feasible", "--triple", "1,2,1e18", "--permutations"],
+        ["feasible", "--triple", "1,2,5e5"],  # mu_1^2 below the metric's 1e-10 floor
+        ["feasible", "--triple", "1,2,1e6"],
+        ["feasible", "--triple", "1,2,1e6", "--permutations"],
         ["feasible", "--triple", "nan,2,10"],
         ["feasible", "--triple", "1,2"],
         ["feasible", "--pair", "1,5"],
@@ -69,6 +72,7 @@ FEASIBLE_ARGV = (
         ["feasible", "--pair", "1,3"],  # boundary gap = 2
         ["feasible", "--pair", "1e308,1.7e308"],
         ["feasible", "--pair", "1e400,5"],
+        ["feasible", "--pair", "1e160,3e160"],  # feasible, but lambda too large for the lattice
         ["feasible", "--pair", "1,5", "--triple", "1,2,10"],  # mode conflicts
         ["feasible", "--pair", "1,5", "--permutations"],
         ["feasible", "--pair", "1,5", "--rank2"],

@@ -170,13 +170,59 @@ def test_feasible_triple_with_permutations(capsys):
 
 
 def test_feasible_triple_with_a_huge_third_entry(capsys):
-    # the mu2_pos lhs keeps its value where 2 (a - c)(a - 1) + b c read 0
-    code, out, _ = run(capsys, ["feasible", "--triple", "1,2,1e18"])
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["checks"]["mu2_pos"] == {"lhs": pytest.approx(1e18 / 3, rel=1e-15), "ok": True}
-    assert doc["feasible"] is True
-    assert doc["params"]["lambda"] == pytest.approx(1e18 / 6, rel=1e-15)
+    # the ledger accepts (1, 2, d3) up to 1e18 (test_feasibility), but from d3 = 5e5 on
+    # mu_1^2 is about 9 / d3^2 and the realizing kernel's metric at 0 has an eigenvalue below
+    # 1e-10: the series path cannot read the diagonal back, so nothing is printed
+    for argv in (["1,2,5e5"], ["1,2,1e6"], ["1,2,1e18"], ["1,2,1e6", "--permutations"]):
+        code, out, err = run(capsys, ["feasible", "--triple", *argv])
+        assert code == EXIT_NUMERIC and out == "", argv
+        assert err.startswith("numeric error: cannot check the parameters for (1.0, 2.0, ")
+        assert "not positive definite" in err and err.count("\n") == 1, err
+
+
+def test_feasible_diagonal_off_the_input_exits_numeric(capsys, monkeypatch):
+    # a kernel whose diagonal comes back 2e-9 relative off the input: one error line, no report
+    import cdbundle.cli as cli_mod
+
+    real = cli_mod.invariants_at_zero
+
+    def off(lattice):
+        inv = real(lattice)
+        return type(inv)(inv.curvature * (1 + 2e-9), inv.d_zbar, inv.d_zzbar)
+
+    monkeypatch.setattr(cli_mod, "invariants_at_zero", off)
+    for argv in (["--triple", "1,2,10.5", "--permutations"], ["--pair", "1,5"]):
+        code, out, err = run(capsys, ["feasible", *argv])
+        assert code == EXIT_NUMERIC and out == "", argv
+        assert err.startswith("numeric error: the parameters for (1.0, ")
+        assert "relative from it (tolerance 1e-09)" in err and err.count("\n") == 1, err
+
+
+def test_feasible_pair_beyond_the_lattice_exits_numeric(capsys):
+    # lambda = 1e160 solves the pair, but the series path cannot build its Taylor lattice
+    code, out, err = run(capsys, ["feasible", "--pair", "1e160,3e160"])
+    assert code == EXIT_NUMERIC and out == ""
+    assert err.startswith("numeric error: cannot check the parameters for (1e+160, 3e+160): "
+                          "lambda 1e+160 is too large") and err.count("\n") == 1, err
+
+
+def test_passing_checks_keep_the_bytes(tmp_path, capsys, monkeypatch):
+    # field and feasible print the same bytes with their checks as without them
+    import cdbundle.cli as cli_mod
+
+    path = write(tmp_path, "hom.json", HOM)
+    calls = [["field", "--kernel", path, "--grid", "5", "--out", str(tmp_path / "f.csv")],
+             ["feasible", "--triple", "1,2,10.5", "--permutations"],
+             ["feasible", "--triple", "0.5,7.5,8"], ["feasible", "--pair", "2.5,4.6"]]
+
+    def outputs():
+        return [run(capsys, argv) for argv in calls], (tmp_path / "f.csv").read_bytes()
+
+    checked = outputs()
+    assert all(code == EXIT_OK for code, _, _ in checked[0])
+    monkeypatch.setattr(cli_mod, "_check_transport", lambda *args: None)
+    monkeypatch.setattr(cli_mod, "_check_realized", lambda *args: None)
+    assert outputs() == checked
 
 
 def test_infeasible_triple_prints_null_params(capsys):
@@ -479,6 +525,30 @@ def test_field_overflow_is_one_numeric_error(tmp_path):
     assert_one_numeric_error(
         run_process(["field", "--kernel", path, "--radius", "0.9", "--out", str(out_csv)]))
     assert not out_csv.exists()
+
+
+def test_field_off_the_transport_exits_numeric(tmp_path, capsys):
+    # the oracle's eigenvalue at |z| = 0.5 on the Bergman kernel of weight 1000 is 43.6 times
+    # off the (1 - |z|^2)^-2 transport of the one at 0: one line naming the point, no CSV
+    path = write(tmp_path, "b1000.json", {"type": "bergman", "lambda": 1000})
+    out_csv = tmp_path / "field.csv"
+    code, out, err = run(capsys, ["field", "--kernel", path, "--grid", "3", "--out", str(out_csv)])
+    assert code == EXIT_NUMERIC and out == "" and not out_csv.exists()
+    got = re.fullmatch(r"numeric error: curvature eigenvalues at x = (\S+), y = (\S+) miss the "
+                       r"transport of those at 0 by (\S+) relative \(tolerance 1e-05\)\n", err)
+    assert got is not None, err
+    x, y, miss = map(float, got.groups())
+    assert np.hypot(x, y) == 0.5 and 40 < miss < 50, err
+
+
+def test_field_on_a_singular_constant_term_exits_numeric(tmp_path, capsys):
+    # mu_1 = 1e150: the oracle writes eigenvalues near -1e-13, but the series path's constant
+    # term has condition number 1e300, so there are no eigenvalues at 0 to check them against
+    path = write(tmp_path, "hom.json", {**HOM, "mu": [1.0, 1e150, 1.0]})
+    out_csv = tmp_path / "field.csv"
+    code, out, err = run(capsys, ["field", "--kernel", path, "--grid", "3", "--out", str(out_csv)])
+    assert code == EXIT_NUMERIC and out == "" and not out_csv.exists()
+    assert err.startswith("numeric error: ") and "singular" in err and err.count("\n") == 1
 
 
 def test_invariants_overflow_is_one_numeric_error(tmp_path):

@@ -130,10 +130,11 @@ def dense_jets(spec, z, depth, n, radius):
 
 @pytest.mark.parametrize("z", [0.0, 0.3 - 0.2j])
 def test_jets_match_the_dense_trapezoid_sum(z):
-    # pins the axis order of the two DFT products and the transpose of K into h; the jet
-    # kernels are not symmetric, so a K in place of h^t shows.  Both sides are compared
-    # times r^(a+b): the division by it amplifies round-off by up to r^-2 = 1e4 on the
-    # curvature's torus and r^-4 = 1.6e5 on the derivatives'
+    # pins the order of the Kronecker weights, the exponent of each row and the transpose of
+    # K into h; the jet kernels are not symmetric, so a K in place of h^t shows.  Both sides
+    # are compared times r^(a+b): the division by it amplifies round-off by up to r^-2 = 1e4
+    # on the curvature's torus and r^-4 = 1.6e5 on the derivatives'.  At 0 the call with the
+    # centre, as the triple at 0 makes it, slices the n x n block out of the (n+1)^2 values
     for depth, n, radius in ((2, oracle._N_CURVATURE, oracle._RADIUS_CURVATURE),
                              (3, oracle._N_DERIVATIVES, oracle._RADIUS_DERIVATIVES)):
         r = radius * (1 - abs(z))
@@ -142,6 +143,10 @@ def test_jets_match_the_dense_trapezoid_sum(z):
             got = oracle._jets(spec, z, depth, n, radius) * scale
             want = dense_jets(spec, z, depth, n, radius) * scale
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (name, depth)
+            if z == 0:
+                jet, h0 = oracle._jets(spec, z, depth, n, radius, centre=True)
+                assert np.abs(jet * scale - want).max() <= 1e-13 * np.abs(want).max(), name
+                assert np.array_equal(h0, spec.evaluate(0.0, 0.0).T), name
 
 
 def _shift(d):
@@ -438,7 +443,7 @@ def worst_residuals(corpus):
 
 
 def test_oracle_worst_residuals_on_held_out_corpus():
-    # measured with the jets: curvature 1.1e-13, d_zbar 2.5e-13, d_zzbar 7.8e-11; the pins
+    # measured with the jets: curvature 1.1e-13, d_zbar 2.7e-13, d_zzbar 7.5e-11; the pins
     # date from the finite differences, which read 1.6e-7, 7.0e-9 and 3.8e-6 here
     pinned = {"curvature": 2.5e-7, "d_zbar": 1e-8, "d_zzbar": 5e-6}
     worst = worst_residuals(held_out_corpus())
@@ -447,7 +452,7 @@ def test_oracle_worst_residuals_on_held_out_corpus():
 
 
 def test_oracle_worst_residuals_on_wide_sample():
-    # measured: curvature 9.5e-13, d_zbar 1.7e-12 and d_zzbar 1.1e-9, all on jet(40, 40, 2);
+    # measured: curvature 9.0e-13, d_zbar 2.5e-12 and d_zzbar 1.1e-9, all on jet(40, 40, 2);
     # the finite differences missed 1e-5 on 15 of these 36 specs
     pinned = {"curvature": 3e-12, "d_zbar": 5e-12, "d_zzbar": 3e-9}
     worst = worst_residuals(wide_sample())
@@ -457,8 +462,8 @@ def test_oracle_worst_residuals_on_wide_sample():
 
 def test_jet_convergence_is_geometric_in_n_bergman(monkeypatch):
     # aliasing falls geometrically in n: measured 9.5e-4, 7.9e-6, 5.3e-8 and 3.1e-10 at
-    # n = 2, 3, 4 and 5 (ratios 120, 150 and 170), then a roundoff floor: 9.5e-13 at n = 6,
-    # 1.9e-13 at n = 8 and 4.4e-13 at n = 10
+    # n = 2, 3, 4 and 5 (ratios 120, 150 and 170), then a roundoff floor: 1.1e-12 at n = 6,
+    # 1.2e-13 at n = 8 and 7.1e-13 at n = 10
     errs = jet_curvature_errors(monkeypatch, (2, 3, 4, 5, 10))
     for e0, e1 in zip(errs[:3], errs[1:4]):
         assert 100.0 <= e0 / e1 <= 220.0, errs
@@ -469,7 +474,7 @@ def test_jet_convergence_is_geometric_in_n_bergman(monkeypatch):
 def test_field_follows_the_transport_of_the_invariants_at_zero(corpus, bound):
     # the curvature route against (1 - |z|^2)^-2 times the series eigenvalues at 0, relative
     # to the largest eigenvalue, at the jittered points of the benchmark's field_grid (its
-    # seed, one draw per spec); measured 3.0e-10 on the held-out corpus (jet_8) and 1.2e-5 on
+    # seed, one draw per spec); measured 3.0e-10 on the held-out corpus (jet_8) and 1.3e-5 on
     # the wide sample (jet(40, 40, 2), whose aliasing grows with the exponents).  An 8 x 8
     # torus at r = 0.05 (1 - |z|) read 1.3e-8 and 1.2e-2
     rng = np.random.default_rng(20240817)
