@@ -6,7 +6,7 @@ inverses and their normalized forms; every coefficient-level invariant
 formula in the package operates on this representation.  A series is read
 through its coefficient array ``coeffs`` with ``rank`` and ``order``, and
 composed by ``multiply`` and ``invert``; ``assert_hermitian``,
-``leading_inverse`` and ``positive_sqrt`` are the checked matrix steps the
+``_check_condition`` and ``positive_sqrt`` are the checked matrix steps the
 normalization shares.
 
 Conventions
@@ -23,11 +23,11 @@ Conventions
 All values are immutable after construction (the coefficient array is set
 read-only) and every operation is a pure function, so instances are safe
 to use concurrently.  The one mutable part of an instance is its slot for
-the leading rows of the normalized lattice (cdbundle.invariants): empty
-until the first query of the normalized lattice (``normalize`` or an
-invariant at 0), then holding a read-only array that is only ever
-replaced whole, by rows of the same values.  The rows live and die with
-the instance and are never shared between instances.
+its normalized lattice (cdbundle.invariants): empty until the first query
+of the normalized lattice (``normalize`` or an invariant at 0), then
+holding the whole lattice as a read-only array that no later query
+replaces or changes.  The lattice lives and dies with the instance and is
+never shared between instances.
 """
 
 from __future__ import annotations
@@ -58,15 +58,11 @@ def assert_hermitian(a: np.ndarray, tol: float = TOL_HERM, what: str = "matrix")
     return a
 
 
-def leading_inverse(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """a00^{-1} = V diag(1/vals) V^* for the constant coefficient of a series to be inverted.
-
-    a00 is Hermitian and (vals, vecs) = np.linalg.eigh(a00), so the inverse,
-    the condition number max|vals| / min|vals| and a square root
-    (:func:`positive_sqrt`) all come from one factorization.  Raises
-    SingularLeadingTermError when a00 is singular or its condition number
-    exceeds 1e14.
-    """
+def _check_condition(vals: np.ndarray) -> None:
+    """Raise SingularLeadingTermError when the constant coefficient a00 of a series to be
+    inverted or normalized is singular or its condition number max|vals| / min|vals| exceeds
+    1e14.  vals are the eigenvalues of the Hermitian a00 from the one np.linalg.eigh that also
+    gives its inverse or its square root (:func:`positive_sqrt`)."""
     mags = np.abs(vals)
     if not mags.min() > 0:
         raise SingularLeadingTermError("constant coefficient is singular")
@@ -75,7 +71,6 @@ def leading_inverse(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         raise SingularLeadingTermError(
             f"constant coefficient numerically singular (cond {cond:.3e})"
         )
-    return (vecs / vals) @ vecs.conj().T
 
 
 def positive_sqrt(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -107,7 +102,7 @@ class MatrixPowerSeries2:
         object.__setattr__(self, "coeffs", arr)
         object.__setattr__(self, "rank", arr.shape[2])
         object.__setattr__(self, "order", arr.shape[0] - 1)
-        object.__setattr__(self, "_normal", None)  # leading rows of the normalized lattice
+        object.__setattr__(self, "_normal", None)  # the normalized lattice, once computed
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MatrixPowerSeries2 is immutable")
@@ -145,9 +140,10 @@ class MatrixPowerSeries2:
         N = self.order
         a = self.coeffs
         a00 = assert_hermitian(a[0, 0], what="constant coefficient")
-        a00_inv = leading_inverse(*np.linalg.eigh(a00))
+        vals, vecs = np.linalg.eigh(a00)
+        _check_condition(vals)
         b = np.zeros_like(a)
-        b[0, 0] = a00_inv
+        b[0, 0] = a00_inv = (vecs / vals) @ vecs.conj().T
         # row-major order: every b[p,q] with p <= k, q <= l is known, and
         # b[k,l] itself is still zero while its own term is summed
         for k in range(N + 1):

@@ -8,8 +8,11 @@ child process with ``PYTHONPATH`` set to that tree and bytecode writing off runs
 invocation through ``cdbundle.cli.main`` and records stdout, stderr, the exit code
 and the CSV that ``field`` writes, with the temporary directory replaced by ``<TMP>``.
 The script prints one line per invocation, and for each mismatch the first differing
-line; it exits 1 on any mismatch. The two trees run on one machine: the list is
-compared, never stored, because BLAS can sum in another order elsewhere.
+line; when any call differs, one tally line follows, counting the differing calls per
+subcommand and per changed stream, named as in those lines (stdout, stderr, csv for the
+file, exit for the exit code); it exits 1 on any mismatch. The two trees run on one
+machine: the list is compared, never stored, because BLAS can sum in another order
+elsewhere.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -157,8 +161,11 @@ def run_tree(src: str, tmp: Path, argv: list) -> list:
             for record in json.loads(proc.stdout)]
 
 
+STREAMS = ("stdout", "stderr", "csv", "exit")
+
+
 def first_difference(old: list, new: list) -> str:
-    for what, a, b in zip(("stdout", "stderr", "csv", "exit"), old, new):
+    for what, a, b in zip(STREAMS, old, new):
         if a == b:
             continue
         if not isinstance(a, str) or not isinstance(b, str):
@@ -183,11 +190,20 @@ def main() -> int:
         calls = invocations(tmp)
         old, new = run_tree(old_src, tmp, calls), run_tree(new_src, tmp, calls)
     same = 0
+    tally = {}  # subcommand -> differing calls and, per stream, the calls it differs in
     for call, a, b in zip(calls, old, new):
         label = " ".join(call).replace(tmp_name, "<TMP>")
         diff = first_difference(a, b)
         same += not diff
         print(f"same  {label}" if not diff else f"DIFF  {label}\n      {diff}")
+        if diff:
+            counts = tally.setdefault(call[0], Counter())
+            counts["calls"] += 1
+            counts.update(what for what, x, y in zip(STREAMS, a, b) if x != y)
+    if tally:
+        print("differing: " + "; ".join(
+            f"{command} {c['calls']} (" + ", ".join(f"{w} {c[w]}" for w in STREAMS if c[w]) + ")"
+            for command, c in tally.items()))
     print(f"{same}/{len(calls)} identical")
     return 0 if same == len(calls) else 1
 

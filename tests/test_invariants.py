@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,10 +23,9 @@ from cdbundle import (
     normalize,
     transport_eigenvalues,
 )
-from cdbundle import invariants, series
 from cdbundle.kernels import weighted_shift
 from cdbundle.series import MatrixPowerSeries2, assert_hermitian, positive_sqrt
-from conftest import random_kernel_series, zoo_fixtures
+from conftest import held_out_corpus, random_kernel_series, zoo_fixtures
 
 SQ5, SQ6 = np.sqrt(5.0), np.sqrt(6.0)
 
@@ -216,19 +216,33 @@ def test_covd_zbar_n_consistency_and_vanishing():
     assert np.abs(covd_zbar_n_at_zero(kb, 2)).max() < 1e-14
     with pytest.raises(TruncationOrderError):
         covd_zbar_n_at_zero(kb, 4)
+    for n in (0, -1, 2.0, 1.5, True, "1"):  # 2.0 and True once passed as 2 and 1
+        with pytest.raises(ValueError, match="n must be a positive integer, got"):
+            covd_zbar_n_at_zero(k, n)
+
+
+# Lattices of another order solve systems of another size, whose BLAS sums can round
+# differently.  Measured: only hom_m2_permuted moves, by 4.4e-17 relative in d_zzbar; every
+# other fixture keeps its bits.
+ORDER_DEVIATION = {"hom_m2_permuted": 1e-16}
+
+
+def _within(got, want, bound):
+    return np.array_equal(got, want) or np.abs(got - want).max() <= bound * np.abs(want).max()
 
 
 @pytest.mark.parametrize("name, spec", zoo_fixtures())
 def test_invariants_independent_of_lattice_order(name, spec):
+    bound = ORDER_DEVIATION.get(name, 0.0)
     want = invariants_at_zero(kernel_taylor(spec, 2))
     for order in (4, 6):
         got = invariants_at_zero(kernel_taylor(spec, order))
         for field in ("curvature", "d_zbar", "d_zzbar"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), (order, field)
+            assert _within(getattr(got, field), getattr(want, field), bound), (order, field)
     lattice = kernel_taylor(spec, 6)
     for n in (1, 2, 3, 4):
-        assert np.array_equal(covd_zbar_n_at_zero(kernel_taylor(spec, n + 1), n),
-                              covd_zbar_n_at_zero(lattice, n)), n
+        assert _within(covd_zbar_n_at_zero(kernel_taylor(spec, n + 1), n),
+                       covd_zbar_n_at_zero(lattice, n), bound), n
 
 
 def _lattices(rng):
@@ -259,9 +273,12 @@ def _composed_normalize(K):
 def test_restricted_cells_match_full_normalize(rng):
     for name, order, K in _lattices(rng):
         norm = normalize(K)
-        assert _same_bits(norm.coeffs, _composed_normalize(K)), (name, order)
+        # the full multiply/invert composition sums in another order: measured 1.7e-15 of the
+        # lattice's largest entry (random_rank1), 2.0e-16 on the fixtures
+        composed = _composed_normalize(K)
+        assert np.abs(norm.coeffs - composed).max() <= 4e-15 * np.abs(composed).max(), (name, order)
         a11, a12, a22 = norm.coeffs[1, 1], norm.coeffs[1, 2], norm.coeffs[2, 2]
-        # K keeps all its rows after normalize; each fresh lattice computes its own
+        # K keeps its lattice after normalize; each fresh lattice computes its own
         for lattice in (K, MatrixPowerSeries2(K.coeffs)):
             inv = invariants_at_zero(lattice)
             assert _same_bits(inv.curvature, a11.T), (name, order)
@@ -286,12 +303,12 @@ def test_restricted_cells_match_full_normalize(rng):
 def test_one_lattice_under_threads(monkeypatch):
     # Two rounds per spec on a fresh lattice, four threads each, every thread asking for
     # the results in its own order.  In the first round the interleaving is left to the
-    # interpreter.  In the second the first thread to find a coefficient waits inside
-    # _cauchy_term until a second thread finds one too, so at least two threads compute
-    # the rows of the one fresh lattice at once and each keeps what it computed.
+    # interpreter.  In the second the first thread to start a Toeplitz solve waits inside
+    # np.linalg.solve until a second thread starts one too, so at least two threads compute
+    # the normalized lattice of the one fresh lattice at once and each keeps what it computed.
     queries = [invariants_at_zero, normalize] + [
         lambda K, n=n: covd_zbar_n_at_zero(K, n) for n in (1, 2, 3, 4, 5)]
-    cauchy_term = invariants._cauchy_term
+    solve = np.linalg.solve
 
     def parts(result):
         if isinstance(result, PointInvariants):
@@ -335,11 +352,11 @@ def test_one_lattice_under_threads(monkeypatch):
             sys.setswitchinterval(switch)
 
         lattice = MatrixPowerSeries2(K.coeffs)
-        first = []  # the thread that finds the first coefficient
-        second = threading.Event()  # set when another thread finds one
+        first = []  # the thread that starts the first solve
+        second = threading.Event()  # set when another thread starts one
         guard = threading.Lock()
 
-        def held(factor, a, k, l, first=first, second=second):
+        def held(matrix, rhs, first=first, second=second):
             with guard:
                 waits = not first
                 if waits:
@@ -348,51 +365,86 @@ def test_one_lattice_under_threads(monkeypatch):
                     second.set()
             if waits:
                 second.wait(timeout=10)
-            return cauchy_term(factor, a, k, l)
+            return solve(matrix, rhs)
 
         with monkeypatch.context() as patch:
-            patch.setattr(invariants, "_cauchy_term", held)
+            patch.setattr(np.linalg, "solve", held)
             results = race(lattice)
-        assert second.is_set(), name  # two threads computed the fresh lattice's rows at once
+        assert second.is_set(), name  # two threads computed the fresh lattice's normal form at once
         check(results, serial, name)
         kept = lattice._normal
         assert not kept.flags.writeable, name
-        assert _same_bits(kept, serial[1][0][: len(kept)]), name  # rows of the serial normalize
+        assert _same_bits(kept, serial[1][0]), name  # the serial normalize
 
 
-def test_cauchy_term_counts(monkeypatch):
-    # deterministic work counts of the series path: one count per coefficient of
-    # the L column to the last row read and of the R row to the last column; the
-    # sums L K and (L K) R are batched outside _cauchy_term
+def test_normal_form_work_counts(monkeypatch):
+    # deterministic work counts of the series path: one eigh of a00 and two Toeplitz solves
+    # per fresh lattice, whichever query comes first; none on a lattice already normalized
     calls = []
-    cauchy_term = series._cauchy_term
+    for name in ("eigh", "solve"):
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
+            calls.append(_name)
+            return _fn(*args)
 
-    def counted(*args):
-        calls.append(args[2:])
-        return cauchy_term(*args)
-
-    monkeypatch.setattr(series, "_cauchy_term", counted)
-    monkeypatch.setattr(invariants, "_cauchy_term", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
 
     def count(fn, *args):
         calls.clear()
         fn(*args)
-        return len(calls)
+        return calls.count("eigh"), calls.count("solve")
 
     hom = dict(zoo_fixtures())["hom_m2"]
-    assert count(kernel_taylor, hom, 6) == 0  # closed form, no series products
+    assert count(kernel_taylor, hom, 6) == (0, 0)  # closed form
     lattice = kernel_taylor(hom, 6)
 
     def fresh():
         return MatrixPowerSeries2(lattice.coeffs)
 
-    assert count(invariants_at_zero, fresh()) == 2 + 6
-    assert [count(covd_zbar_n_at_zero, fresh(), n) for n in (1, 2, 3, 4)] == [8, 8, 8, 8]
-    assert count(normalize, kernel_taylor(hom, 2)) == 2 + 2
-    # on one lattice, covd reads the rows the invariants kept
+    assert count(invariants_at_zero, fresh()) == (1, 2)
+    assert [count(covd_zbar_n_at_zero, fresh(), n) for n in (1, 2, 3, 4)] == [(1, 2)] * 4
+    assert count(normalize, kernel_taylor(hom, 2)) == (1, 2)
+    # on one lattice, every later query reads the lattice the first one kept
     shared = fresh()
-    assert count(invariants_at_zero, shared) == 2 + 6
-    assert [count(covd_zbar_n_at_zero, shared, n) for n in (1, 2, 3, 4)] == [0, 0, 0, 0]
+    assert count(invariants_at_zero, shared) == (1, 2)
+    assert [count(covd_zbar_n_at_zero, shared, n) for n in (1, 2, 3, 4)] == [(0, 0)] * 4
+    assert count(normalize, shared) == count(invariants_at_zero, shared) == (0, 0)
+
+
+def _exact_normal_cells(spec, order, cells):
+    """Cells of L K R in exact rationals, from the float lattice spec.taylor(order) read as
+    Fractions, then sandwiched in floats by diag(sqrt(a00)), one square root per entry."""
+    a = spec.taylor(order).coeffs
+    assert not a.imag.any()  # every spec of the grammar has a real lattice
+    d = np.diag(a[0, 0].real)
+    assert np.array_equal(a[0, 0].real, np.diag(d))  # and a diagonal a00
+    q = np.vectorize(Fraction, otypes=[object])(a.real)
+    inv = np.array([1 / Fraction(x) for x in d], dtype=object)  # a00^{-1}, one entry per column
+    # L[k] and R[l] from sum_s L[s] a[k-s,0] = 0 and sum_s R[s] a[0,l-s] = 0
+    left, right = [np.diag(inv)], [np.diag(inv)]
+    for k in range(1, order + 1):
+        left.append(-sum(left[s] @ q[k - s, 0] for s in range(k)) * inv)
+        right.append(-sum(right[s] @ q[0, k - s] for s in range(k)) * inv)
+    root = np.sqrt(d)
+    return {(k, l): root[:, None] * root * sum(left[k - p] @ q[p, t] @ right[l - t]
+                                                for p in range(k + 1)
+                                                for t in range(l + 1)).astype(float)
+            for k, l in cells}
+
+
+def test_normal_form_against_the_exact_rational_one():
+    # The worst relative error of a~[1,1], a~[1,2], a~[2,2] and a~[1,t] over the fixtures and
+    # the held-out corpus at order 6, against L K R in exact rationals.  Measured: 5.9e-15
+    # (hom_2 of the held-out corpus, a~[1,3]); the coefficient recursion the solves replaced
+    # measured 9.2e-15 the same way (hom_1, a~[1,4]), so the bound sits below it.  A zero
+    # reference cell must come out exactly zero.
+    order = 6
+    cells = [(1, 1), (1, 2), (2, 2)] + [(1, t) for t in range(3, order + 1)]
+    for name, spec in zoo_fixtures() + held_out_corpus():
+        exact = _exact_normal_cells(spec, order, cells)
+        norm = normalize(kernel_taylor(spec, order)).coeffs
+        for cell in cells:
+            want = exact[cell]
+            assert np.abs(norm[cell] - want).max() <= 8e-15 * np.abs(want).max(), (name, cell)
 
 
 def test_homogeneous_closed_m2_reference_values():
