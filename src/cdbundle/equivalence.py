@@ -172,9 +172,8 @@ def _require(residual: float, tol: float, what: str) -> None:
 def _verify_witness(U, K1, K2, T1, T2, claims):
     n = U.shape[0]
     _require(np.abs(U.conj().T @ U - np.eye(n)).max(), TOL_UNITARY, "unitarity")
-    if "curvature" in claims:
-        _require(np.abs(U @ K1 - K2 @ U).max(),
-                 TOL_INTERTWINE * max(1.0, np.abs(K1).max()), "curvature")
+    _require(np.abs(U @ K1 - K2 @ U).max(),
+             TOL_INTERTWINE * max(1.0, np.abs(K1).max()), "curvature")
     if "d_zbar" in claims:
         _require(np.abs(U @ T1 - T2 @ U).max(),
                  TOL_INTERTWINE * max(1.0, np.abs(T1).max()), "d_zbar")

@@ -29,9 +29,11 @@ those terms cancel only up to rounding, and the numerator reads 0 at
 
 :func:`solve_triple` is the one place a triple is decided, and its result
 builds the realizing kernel, ``Homogeneous(lambda, (1, mu_1, mu_2), m=2)``,
-through :meth:`FeasibilityResult.kernel`.  Triples are ordered tuples
-throughout — the diagonal order is frame data — and multiset questions are
-answered only by :func:`permutation_analysis`.
+through :meth:`FeasibilityResult.kernel`.  :func:`realized_diagonal` is the
+one series-path read of the diagonal a kernel gives back, for the round trip
+here, the checks of ``cdbundle feasible`` and ``cdbundle reproduce``.  Triples
+are ordered tuples throughout — the diagonal order is frame data — and
+multiset questions are answered only by :func:`permutation_analysis`.
 """
 
 from __future__ import annotations
@@ -176,8 +178,12 @@ def rank2_feasibility(delta1: float, delta2: float) -> Optional[tuple]:
     return (lam, mu1_sq)
 
 
+def realized_diagonal(kernel) -> np.ndarray:
+    """Real part of the curvature diagonal at 0 of `kernel`, read on the series path."""
+    return np.real(np.diag(invariants_at_zero(kernel_taylor(kernel, INVARIANT_ORDER)).curvature))
+
+
 def roundtrip_check(delta) -> float:
     """Residual of [prescribe diagonal -> solve -> rebuild kernel -> read diagonal]."""
-    inv = invariants_at_zero(kernel_taylor(solve_triple(delta).kernel(), INVARIANT_ORDER))
-    diag = np.real(np.diag(inv.curvature))
+    diag = realized_diagonal(solve_triple(delta).kernel())
     return float(np.abs(diag - np.asarray(delta, dtype=float)).max())

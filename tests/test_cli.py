@@ -22,7 +22,7 @@ from cdbundle.cli import (
 )
 from cdbundle.kernels import spec_to_dict
 from cdbundle.reproduce import SCENARIOS
-from conftest import zoo_fixtures
+from conftest import held_out_corpus, zoo_fixtures
 
 BERGMAN2 = {"type": "bergman", "lambda": 2.0}
 JET22 = {"type": "jet", "alpha": 1.0, "beta": 2.0, "k": 2}
@@ -182,15 +182,15 @@ def test_feasible_triple_with_a_huge_third_entry(capsys):
 
 def test_feasible_diagonal_off_the_input_exits_numeric(capsys, monkeypatch):
     # a kernel whose diagonal comes back 2e-9 relative off the input: one error line, no report
-    import cdbundle.cli as cli_mod
+    import cdbundle.feasibility as fe
 
-    real = cli_mod.invariants_at_zero
+    real = fe.invariants_at_zero
 
     def off(lattice):
         inv = real(lattice)
         return type(inv)(inv.curvature * (1 + 2e-9), inv.d_zbar, inv.d_zzbar)
 
-    monkeypatch.setattr(cli_mod, "invariants_at_zero", off)
+    monkeypatch.setattr(fe, "invariants_at_zero", off)  # the series read of realized_diagonal
     for argv in (["--triple", "1,2,10.5", "--permutations"], ["--pair", "1,5"]):
         code, out, err = run(capsys, ["feasible", *argv])
         assert code == EXIT_NUMERIC and out == "", argv
@@ -668,6 +668,72 @@ def test_reproduce_cases_pass(capsys, case):
     code, out, _ = run(capsys, ["reproduce", "--case", case])
     assert code == EXIT_OK, out
     assert "FAIL" not in out
+
+
+def test_reproduce_computes_each_answer_once(capsys, monkeypatch):
+    # perm1 reads its round trips off the 18 solves of its three permutation analyses, and
+    # example2 keeps the invariants of its (1, 2) pair from the closed-form loop
+    import cdbundle.feasibility as fe
+    from cdbundle import equivalence, reproduce
+
+    counts = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(fe, "solve_triple")
+    for module in (fe, equivalence, reproduce):  # each binds the series read of invariants
+        counted(module, "invariants_at_zero")
+    for case, name, calls in (("perm1", "solve_triple", 18),
+                              ("example2", "invariants_at_zero", 10)):
+        counts.clear()
+        assert run(capsys, ["reproduce", "--case", case])[0] == EXIT_OK
+        assert counts[name] == calls, (case, counts)
+
+
+def test_reproduce_prints_records_then_notes(capsys, monkeypatch):
+    # every record prints, FAIL or not, before the notes; a scenario that raises prints nothing
+    def failing():
+        yield "first", True, ""
+        yield "a note"
+        yield "second", False, "off by 1"
+
+    def raising():
+        yield "first", True, ""
+        raise ArithmeticError("synthetic failure")
+
+    monkeypatch.setitem(SCENARIOS, "rank2", failing)
+    code, out, err = run(capsys, ["reproduce", "--case", "rank2"])
+    assert code == 1 and err == ""
+    assert out == ("[PASS] first\n[FAIL] second  (off by 1)\nnote: a note\n"
+                   "rank2: 1/2 assertions passed\n")
+    monkeypatch.setitem(SCENARIOS, "rank2", raising)
+    code, out, err = run(capsys, ["reproduce", "--case", "rank2"])
+    assert (code, out, err) == (EXIT_NUMERIC, "", "numeric error: synthetic failure\n")
+
+
+def test_invariants_text_prints_zero_cells_as_zero(tmp_path, capsys):
+    # round-off in a cell that is exactly 0 neither prints nor switches the matrix to exponents;
+    # a genuine small entry keeps its digits
+    specs = dict(held_out_corpus())
+    outputs = {}
+    for name in ("jet_3", "jet_4", "hom_6"):
+        path = write(tmp_path, f"{name}.json", spec_to_dict(specs[name]))
+        code, outputs[name], _ = run(capsys, ["invariants", "--kernel", path])
+        assert code == EXIT_OK
+    for name in ("jet_3", "jet_4"):
+        lines = outputs[name].splitlines()
+        matrix = [line for line in lines if not line.startswith(("kernel:", "oracle residuals:"))]
+        assert len(matrix) == len(lines) - 2
+        for line in matrix:
+            assert not re.search(r"e[+-]\d", line) and not re.search(r"-0\.(?!\d)", line), line
+    assert "6.510970834021e-04" in outputs["hom_6"]
 
 
 def test_canonical_json_formatting():
