@@ -22,27 +22,25 @@ closed forms do, so kernels themselves are stored untransposed.
 Specs are immutable and validated on construction; everything here is a
 pure function of its arguments and safe to share across threads.  The
 point-independent tables of ``evaluate`` are built on first use and kept on
-the spec (``functools.cached_property``): a jet's derivative coefficients
-as stacked (t, i, j) tables, so that all terms are formed and summed over t
-in one pass, and the distinct exponents of z, conj(w) and 1 - z conj(w) with
-the maps that gather their powers into each term; the homogeneous family's
-diagonal d of B (``Homogeneous.diagonal``, from lambda and mu), the
-nilpotent powers S^r/r! and (S^*)^r/r!, which ``taylor`` reads too, and
-the exponents of D(x); a permutation's index sigma - 1.  They hold
-constants of the spec only, never points or results.  Two threads racing
-on a fresh spec may both build a table, with equal values, and either copy
-is kept.  Each base is raised once
-per point to each distinct exponent, and the diagonal and permutation
-factors are applied by scaling and gathering; every output is bit-identical
-to the per-term powers and the dense matrix products B and P K P^* written
-out.
+the spec (``functools.cached_property``).  A jet's entries and the
+homogeneous family's are sums over t of coefficients times powers of z,
+conj(w) and 1 - z conj(w), evaluated by :func:`_power_sum` from stacked
+(t, i, j) coefficient tables and the distinct exponents of each base with
+the maps that gather their powers into each term; a permutation's table is
+its index sigma - 1.  They hold constants of the spec only, never points or
+results.  Two threads racing on a fresh spec may both build a table, with
+equal values, and either copy is kept.  ``Homogeneous.taylor`` reads
+S^r/r! from a read-only table per m.  Every output is bit-identical to the
+per-term powers summed in order of t and to P K P^* written out; the
+homogeneous values match the dense products exp(conj(w) S) B exp(z S^*) to
+round-off.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -117,6 +115,33 @@ def _check_disc(z, w) -> None:
         first = np.flatnonzero(outside)[0]
         zb, wb = (np.broadcast_to(v, outside.shape).flat[first] for v in (z, w))
         raise DiscDomainError(f"point ({zb}, {wb}) outside the open unit disc")
+
+
+def _power_tables(front, coeff, rise, exponents) -> tuple:
+    """The tables of :func:`_power_sum`, with each (t, i, j) exponent table of z, conj(w) and
+    1 - z conj(w) as its distinct values and the map of each entry into them."""
+    powers = []
+    for table in exponents:
+        distinct, at = np.unique(table, return_inverse=True)
+        powers.append((distinct, at.reshape(table.shape)))
+    return front, coeff, rise, tuple(powers)
+
+
+def _power_sum(z, w, base_exponent: float, tables: tuple) -> np.ndarray:
+    """(1-x)^base_exponent front_j sum_t coeff z^a rise conj(w)^b (1-x)^e, x = z conj(w).
+
+    The (n, n) matrix at each point pair: each base is raised once per distinct exponent,
+    the powers are gathered into the (t, i, j) terms, and the terms are summed from 0.0 in
+    order of t.
+    """
+    front, coeff, rise, ((z_exps, z_at), (w_exps, w_at), (x_exps, x_at)) = tables
+    z, wbar = z[..., None], np.conj(w)[..., None]
+    one_x = 1 - z * wbar
+    base = (one_x ** base_exponent)[..., None]
+    zpow, wpow, xpow = z ** z_exps, wbar ** w_exps, one_x ** x_exps
+    terms = coeff * zpow[..., z_at] * rise * wpow[..., w_at] * xpow[..., x_at]
+    total = np.add.reduce(terms, axis=-3, initial=0.0)
+    return np.asarray(base * (front * total), dtype=complex)
 
 
 class KernelSpec:
@@ -208,8 +233,8 @@ class Jet(KernelSpec):
         stacked (t, i, j) tables of C(i, t) j!/(j-t)! and (beta+j)_{i-t}; and
         for each base z, wbar and 1 - x, the distinct values of its (t, i, j)
         exponent table with the map of each table entry into them, so that
-        evaluate raises each base once per distinct exponent.  The terms with
-        t > min(i, j) carry coefficient 0.
+        evaluate raises each base once per distinct exponent (the tables of
+        :func:`_power_sum`).  The terms with t > min(i, j) carry coefficient 0.
         """
         n, beta = self.k + 1, self.beta
         i, j = np.indices((n, n))
@@ -222,22 +247,10 @@ class Jet(KernelSpec):
             np.array([np.maximum(i - t, 0) for t in range(n)]),
             np.array([-beta - j - (i - t) for t in range(n)]),
         )
-        powers = []
-        for table in exponents:
-            distinct, at = np.unique(table, return_inverse=True)
-            powers.append((distinct, at.reshape(table.shape)))
-        return np.array([rising(beta, b) for b in range(n)]), coeff, rise, tuple(powers)
+        return _power_tables(np.array([rising(beta, b) for b in range(n)]), coeff, rise, exponents)
 
     def _values(self, z, w) -> np.ndarray:
-        front, coeff, rise, ((z_exps, z_at), (w_exps, w_at), (x_exps, x_at)) = self._tables
-        z, wbar = z[..., None], np.conj(w)[..., None]
-        one_x = 1 - z * wbar
-        base = (one_x ** (-self.alpha))[..., None]
-        zpow, wpow, xpow = z ** z_exps, wbar ** w_exps, one_x ** x_exps
-        # the terms over t, summed from 0.0 in order of t
-        terms = coeff * zpow[..., z_at] * rise * wpow[..., w_at] * xpow[..., x_at]
-        total = np.add.reduce(terms, axis=-3, initial=0.0)
-        return np.asarray(base * (front * total), dtype=complex)
+        return _power_sum(z, w, -self.alpha, self._tables)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         """The lattice from the generic derivative rule.
@@ -315,7 +328,8 @@ class Homogeneous(KernelSpec):
     with x = z conj(w), S the weighted shift with weights 1..m,
     D(x) = diag((1-x)^{m-l}) and B = diag(d), d = L(lambda) mu'.
     The exponentials are exact finite sums (S is nilpotent), so evaluation
-    has no truncation error by construction.
+    has no truncation error by construction; evaluate sums them entry by
+    entry, as for the jets (see ``_tables``).
     """
 
     lam: float
@@ -365,27 +379,28 @@ class Homogeneous(KernelSpec):
 
     @cached_property
     def _tables(self) -> tuple:
-        """The point-independent factors of evaluate.
+        """The tables of :func:`_power_sum` for K (1-x)^{2 lambda + m}.
 
-        The terms S^r/r! and (S^*)^r/r! of the two exponentials (taylor reads
-        S^r/r! too), the diagonal d of B, and the exponents m - l of the
-        diagonal of D(x).
+        Entry (i, j) of exp(conj(w) S) B exp(z S^*) is the sum over
+        t <= min(i, j) of C(i, t) C(j, t) d_t wbar^{i-t} z^{j-t}, and D(x) on
+        both sides multiplies it by (1-x)^{2m-i-j}.  C(i, t) C(j, t) is 0 for
+        t > min(i, j); the front row is 1.
         """
-        m = self.m
-        S = shift_matrix(m)
-        return (_nilpotent_terms(S), _nilpotent_terms(S.conj().T), self.diagonal,
-                m - np.arange(m + 1))
+        m, d = self.m, self.diagonal
+        n = m + 1
+        i, j = np.indices((n, n))
+        coeff = np.array([[[float(math.comb(a, t) * math.comb(b, t)) for b in range(n)]
+                           for a in range(n)] for t in range(n)])
+        rise = np.broadcast_to(d[:, None, None], (n, n, n))
+        exponents = (
+            np.array([np.maximum(j - t, 0) for t in range(n)]),
+            np.array([np.maximum(i - t, 0) for t in range(n)]),
+            np.broadcast_to(2 * m - i - j, (n, n, n)),
+        )
+        return _power_tables(np.ones(n), coeff, rise, exponents)
 
     def _values(self, z, w) -> np.ndarray:
-        m = self.m
-        wbar = np.conj(w)
-        one_x = 1 - (z * wbar)[..., None, None]
-        w_terms, z_terms, d, d_exp = self._tables
-        expw = _nilpotent_exp(wbar, w_terms)
-        expz = _nilpotent_exp(z, z_terms)
-        D = one_x ** d_exp  # the diagonal of D(x), as a row
-        # (expw * d) scales column j by d_j: expw B without a matrix product
-        return one_x ** (-2 * self.lam - m) * (np.swapaxes(D, -1, -2) * ((expw * d) @ expz) * D)
+        return _power_sum(z, w, -2 * self.lam - self.m, self._tables)
 
     def taylor(self, order: int) -> MatrixPowerSeries2:
         """The lattice in closed form.
@@ -399,7 +414,7 @@ class Homogeneous(KernelSpec):
         """
         m, N = self.m, order
         P = np.zeros((N + 1, m + 1, m + 1), dtype=complex)  # S^r / r!, which is 0 from r = m + 1
-        P[: m + 1] = self._tables[0][: N + 1]
+        P[: m + 1] = _shift_powers(m)[: N + 1]
         F = np.einsum("lab,b,kdb->klad", P, self.diagonal, P.conj())
         a = 2 * self.lam - m + np.add.outer(np.arange(m + 1), np.arange(m + 1))
         with np.errstate(over="ignore"):
@@ -413,28 +428,18 @@ class Homogeneous(KernelSpec):
         return MatrixPowerSeries2(out)
 
 
-def _nilpotent_terms(a: np.ndarray) -> list:
-    """a^r / r! for r = 0 .. n-1 of an n x n nilpotent matrix a (a^n = 0)."""
-    term = np.eye(a.shape[0], dtype=complex)
+@lru_cache(maxsize=None)
+def _shift_powers(m: int) -> np.ndarray:
+    """S^r / r! for r = 0 .. m, S the shift with weights 1..m (S^(m+1) = 0); read-only."""
+    S = shift_matrix(m)
+    term = np.eye(m + 1, dtype=complex)
     terms = [term]
-    for r in range(1, a.shape[0]):
-        term = term @ a / r
+    for r in range(1, m + 1):
+        term = term @ S / r
         terms.append(term)
-    return terms
-
-
-def _nilpotent_exp(t, terms: list) -> np.ndarray:
-    """exp(t a) as the exact finite sum of t^r a^r / r!, from the terms of :func:`_nilpotent_terms`.
-
-    t is a scalar or an array of shape S; the result has shape S + (n, n).
-    """
-    t = t[..., None, None]
-    out = terms[0] + t * terms[1]
-    power = t
-    for term in terms[2:]:
-        power = power * t
-        out = out + power * term
-    return out
+    powers = np.array(terms)
+    powers.flags.writeable = False
+    return powers
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,23 @@ _PRODUCT = _product_index()
 
 
 @lru_cache(maxsize=None)
+def _system_index(m: int) -> tuple:
+    """Read-only indices of :func:`_invariants`' block system into the flattened 3 x 3 jet of
+    rank m with a zero appended at 9 m^2: the (6m, 6m) matrix laid out by _PRODUCT, its zero
+    block at the zero; the (6m, m) right-hand side at c[1:]; and the row scale p + 1."""
+    size = m * m
+    cell = np.arange(size).reshape(m, m)
+    block = _PRODUCT[:, None, :, None]
+    product_at = np.where(block < 6, size * block + cell[:, None, :], 9 * size)
+    product_at = product_at.reshape(6 * m, 6 * m)
+    dh_at = (3 * size + np.arange(6 * size)).reshape(6 * m, m)
+    scale = np.repeat([1.0, 2.0], 3 * m)[:, None]
+    for table in (product_at, dh_at, scale):
+        table.flags.writeable = False
+    return product_at, dh_at, scale
+
+
+@lru_cache(maxsize=None)
 def _torus(depth: int, n: int, centre: bool = False) -> tuple:
     """The torus of radius 1 as u, an (n, 1) column, and conj v, a (1, n) row, which
     broadcast to its n x n point pairs; the (depth^2, n^2) Kronecker weights
@@ -145,17 +162,19 @@ def _invariants(c: np.ndarray) -> np.ndarray:
     Shape (3, rank, rank).  The jet of G = h^{-1} dh solves h G = dh over the
     truncated jets, dh = d/du c: cell (p, q), p < 2, q < 3, of the product is the
     sum of c[p - i, q - j] G[i, j] over i <= p, j <= q, so the six cells of G come
-    from one solve against the block matrix gathered through _PRODUCT, with
-    right-hand side (p + 1) c[p + 1, q].  With K = dbar G and F = dK + [G, K],
+    from one solve against the block matrix laid out by _PRODUCT, with
+    right-hand side (p + 1) c[p + 1, q].  Both are one indexed read of the
+    flattened jet with a zero appended, through the cached :func:`_system_index`
+    of the rank.  With K = dbar G and F = dK + [G, K],
     read at u = v = 0: the curvature is K[0,0] = G[0,1], its dbar derivative
     K[0,1] = 2 G[0,2] and dbar F = 2 G[1,2] + [G[0,0], K[0,1]] (the term
     [G[0,1], K[0,0]] vanishes).
     """
     m = c.shape[-1]
-    blocks = np.concatenate((c[:2].reshape(6, m, m), np.zeros((1, m, m), c.dtype)))
-    product = blocks[_PRODUCT].swapaxes(1, 2).reshape(6 * m, 6 * m)
-    dh = np.concatenate((c[1], 2.0 * c[2])).reshape(6 * m, m)
-    (g00, g01, g02), (_, _, g12) = np.linalg.solve(product, dh).reshape(2, 3, m, m)
+    product_at, dh_at, scale = _system_index(m)
+    flat = np.append(c, 0.0)
+    g = np.linalg.solve(flat[product_at], flat[dh_at] * scale)
+    (g00, g01, g02), (_, _, g12) = g.reshape(2, 3, m, m)
     return np.array((g01, 2.0 * g02, 2.0 * (g12 + g00 @ g02 - g02 @ g00)))
 
 

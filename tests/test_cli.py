@@ -138,6 +138,14 @@ def test_equiv_exit_codes(tmp_path, capsys):
     assert code == EXIT_DISTINCT
 
 
+def test_equiv_tells_bergman_spectra_1e_5_apart(tmp_path, capsys):
+    left = write(tmp_path, "b1.json", {"type": "bergman", "lambda": 1.0})
+    right = write(tmp_path, "b1p.json", {"type": "bergman", "lambda": 1.00001})
+    code, out, err = run(capsys, ["equiv", "--left", left, "--right", right])
+    assert code == EXIT_DISTINCT and err == ""
+    assert json.loads(out)["certificate"]["level"] == "spectrum"
+
+
 def assert_unrecognized(capsys, argv, *unknown):
     # retired flags: the answers read a fixed lattice order and a fixed torus, and
     # --pair alone selects the rank-2 problem, so none of them is accepted

@@ -20,7 +20,7 @@ from cdbundle import (
     solve_triple,
     zzbar_distinguishes,
 )
-from cdbundle.equivalence import _verify_witness
+from cdbundle.equivalence import _ratio_solution, _verify_witness
 from cdbundle.feasibility import RHO
 from conftest import zoo_fixtures
 
@@ -148,6 +148,35 @@ def test_non_unitary_witness_is_rejected():
         _verify_witness(np.diag([2.0, 1.0]).astype(complex), K, K, T, T, ("curvature",))
 
 
+def test_witness_failing_only_its_d_zbar_claim_is_rejected():
+    # U = I intertwines the curvatures but not the derivatives, so only the d_zbar claim fails
+    K = np.diag([1.0, 2.0, 9.0]).astype(complex)
+    T1 = shift_upper(3, {(0, 1): 1.5, (1, 2): 2.0})
+    T2 = shift_upper(3, {(0, 1): 1.5, (1, 2): 2.5})
+    _verify_witness(np.eye(3, dtype=complex), K, K, T1, T2, ("curvature",))
+    with pytest.raises(WitnessVerificationError, match="d_zbar"):
+        _verify_witness(np.eye(3, dtype=complex), K, K, T1, T2, ("curvature", "d_zbar"))
+
+
+def test_derivative_moduli_1e_4_apart_split_a_simple_spectrum():
+    # the ratios 1 + 1e-4 are not unimodular within 1e-7, and a simple spectrum admits no
+    # metric-weighted intertwiner, so the pair splits at (0,1)
+    T1 = shift_upper(3, {(0, 1): 1.5, (1, 2): 2.0})
+    rep = simultaneous_pair_equiv(make_inv([1.0, 2.0, 9.0], T1),
+                                  make_inv([1.0, 2.0, 9.0], (1 + 1e-4) * T1))
+    assert rep.verdict is Verdict.EIGENVALUES_MATCH_ONLY
+    assert rep.certificate["level"] == "(0,1)"
+    assert "non-unimodular" in rep.certificate["reason"]
+
+
+def test_ratio_solution_rejects_a_cycle_product_1e_6_from_one_through_the_library_only():
+    # the CLI's derivatives are weighted shifts, whose support is a forest, so a cycle whose
+    # ratios fail to close is reachable through the library only
+    ones = {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0}
+    assert _ratio_solution(ones, dict(ones), 3) is not None
+    assert _ratio_solution(ones, {**ones, (0, 2): 1.0 + 1e-6}, 3) is None
+
+
 def test_symmetry_of_decision():
     s1 = DirectSum([BergmanPower(1.0), Jet(alpha=1.0, beta=5.0, k=1)])
     s2 = Jet(alpha=1.0, beta=2.0, k=2)
@@ -237,6 +266,13 @@ def test_zzbar_candidate_unitary_path():
     assert not zzbar_distinguishes(inv1, inv2, maps=[(0, 1, 2)])
     inv3 = make_inv([1.0, 2.0, 9.0], zzbar=[2.0, 5.0, 8.0])
     assert zzbar_distinguishes(inv1, inv3, maps=[(0, 1, 2)])
+
+
+def test_zzbar_tells_diagonals_1e_5_apart():
+    inv1 = make_inv([1.0, 2.0, 9.0], zzbar=[2.0, 5.0, 7.0])
+    inv2 = make_inv([1.0, 2.0, 9.0], zzbar=[2.0, 5.0, 7.0 * (1 + 1e-5)])
+    assert zzbar_distinguishes(inv1, inv2, maps=[(0, 1, 2)])
+    assert zzbar_distinguishes(inv2, inv1, maps=[(0, 1, 2)])
 
 
 def test_equivalent_reports_carry_surviving_maps():

@@ -163,6 +163,13 @@ def test_check_region_reference_triples():
             check_region((1.0, 2.0, 3.0), region)
 
 
+def test_check_region_perm1_upper_clause_is_strict():
+    # (1, 2, 12) lies on the boundary 2 (d1 + d2) = d3 - 6 of perm1
+    ok, ledger = check_region((1.0, 2.0, 12.0), "perm1")
+    assert not ok
+    assert ledger["upper"] == {"lhs": 0.0, "ok": False}
+
+
 def test_permutation_analysis_perm1_and_perm2():
     pa = permutation_analysis((1.0, 2.0, 10.5))
     assert set(pa.feasible_sigmas) == {IDENTITY, RHO}

@@ -362,19 +362,20 @@ def test_nested_spec_checks_the_disc_once(monkeypatch):
     assert len(calls) == 2
 
 
-def _reference_evaluate(spec, z, w):
-    """K(z, w) by dense formulas, for a byte-for-byte comparison with evaluate.
+def _reference_evaluate(spec, z, w, dense=False):
+    """K(z, w) by per-term formulas, for a byte-for-byte comparison with evaluate.
 
-    Permutations as P K P^*, the homogeneous family with exp(conj(w) S) B
-    exp(z S^*) as two matrix products, and jets with every power taken once
-    per term and table entry; the direct sum and the Bergman power as in
-    the library.
+    Permutations as P K P^*; jets and the homogeneous family with every power
+    taken once per term and table entry, summed over t by a plain loop; the
+    direct sum and the Bergman power as in the library.  With `dense`, the
+    homogeneous family is exp(conj(w) S) B exp(z S^*) as two matrix products,
+    which equals evaluate up to round-off only.
     """
     if isinstance(spec, Permuted):
         p = permutation_matrix(spec.sigma)
-        return p @ _reference_evaluate(spec.inner, z, w) @ p.conj().T
+        return p @ _reference_evaluate(spec.inner, z, w, dense) @ p.conj().T
     if isinstance(spec, DirectSum):
-        blocks = [_reference_evaluate(part, z, w) for part in spec.parts]
+        blocks = [_reference_evaluate(part, z, w, dense) for part in spec.parts]
         out = np.zeros(blocks[0].shape[:-2] + (spec.rank, spec.rank), dtype=complex)
         at = 0
         for blk in blocks:
@@ -382,7 +383,7 @@ def _reference_evaluate(spec, z, w):
             out[..., at : at + r, at : at + r] = blk
             at += r
         return out
-    if isinstance(spec, Homogeneous):
+    if isinstance(spec, Homogeneous) and dense:
         m, wbar = spec.m, np.conj(w)
         S = shift_matrix(m)
         x = np.asarray(z * wbar)[..., None, None]
@@ -399,8 +400,23 @@ def _reference_evaluate(spec, z, w):
 
         D = (1 - x) ** (m - np.arange(m + 1))
         B = np.diag(spec.diagonal)
-        dense = exp(wbar, S) @ B @ exp(z, S.conj().T)
-        return (1 - x) ** (-2 * spec.lam - m) * (np.swapaxes(D, -1, -2) * dense * D)
+        dense_product = exp(wbar, S) @ B @ exp(z, S.conj().T)
+        return (1 - x) ** (-2 * spec.lam - m) * (np.swapaxes(D, -1, -2) * dense_product * D)
+    if isinstance(spec, Homogeneous):
+        # entry (i, j): sum over t of C(i, t) C(j, t) d_t z^(j-t) conj(w)^(i-t) (1-x)^(2m-i-j)
+        m, d = spec.m, spec.diagonal
+        n = m + 1
+        i, j = np.indices((n, n))
+        z, wbar = np.asarray(z)[..., None, None], np.conj(np.asarray(w))[..., None, None]
+        base = (1 - z * wbar) ** (-2 * spec.lam - m)
+        x = z * wbar
+        total = 0.0
+        for t in range(n):
+            coeff = np.array([[float(math.comb(a, t) * math.comb(b, t)) for b in range(n)]
+                              for a in range(n)])
+            total = total + (coeff * z ** np.maximum(j - t, 0) * d[t] * wbar ** np.maximum(i - t, 0)
+                             * (1 - x) ** (2 * m - i - j))
+        return np.asarray(base * (np.ones(n) * total), dtype=complex)
     if isinstance(spec, Jet):
         n, beta = spec.k + 1, spec.beta
         i, j = np.indices((n, n))
@@ -448,20 +464,32 @@ def _assert_same_bytes(got, want, label):
         assert np.array_equal(*signs), (label, part)
 
 
-def test_evaluate_bytes_match_the_dense_formulas():
+def _byte_points():
     rng = np.random.default_rng(18)
     line = 0.7 * np.sqrt(rng.random((2, 9))) * np.exp(2j * np.pi * rng.random((2, 9)))
     points = [(0.2 - 0.35j, 0.4 + 0.1j), (-0.6j, 0.55), (0j, 0j), (0.3, -0.45), (-0.7, 0.7),
               (0.0, 0.0), tuple(line), tuple(line.real)]
-    points += [tuple(np.broadcast_arrays(z, w)) for z, w in _tori()]  # n x n arrays of one shape
+    return points + [tuple(np.broadcast_arrays(z, w)) for z, w in _tori()]  # n x n, one shape
+
+
+def test_evaluate_bytes_match_the_per_term_formulas():
     for name, spec in _byte_specs():
-        for z, w in points:
+        for z, w in _byte_points():
             _assert_same_bytes(spec.evaluate(z, w), _reference_evaluate(spec, z, w), (name, z, w))
+
+
+def test_evaluate_matches_the_dense_homogeneous_product():
+    # the power sum against exp(conj(w) S) B exp(z S^*) as two matrix products, per point
+    for name, spec in _byte_specs():
+        for z, w in _byte_points():
+            got, want = spec.evaluate(z, w), _reference_evaluate(spec, z, w, dense=True)
+            scale = np.abs(want).max(axis=(-2, -1))
+            assert (np.abs(got - want).max(axis=(-2, -1)) <= 1e-15 * scale).all(), (name, z, w)
 
 
 def test_evaluate_bytes_do_not_depend_on_the_torus_layout():
     # the oracle hands evaluate a column and a row; every value must equal the one computed
-    # at the n x n broadcast arrays, and the dense formulas at the column and the row
+    # at the n x n broadcast arrays, and the per-term formulas at the column and the row
     for name, spec in _byte_specs():
         for z, w in _tori():
             got = spec.evaluate(z, w)

@@ -229,6 +229,29 @@ def test_gathered_matrix_is_the_block_toeplitz_product(monkeypatch):
                               .reshape(-1, c.shape[-1]))
 
 
+def concatenated_invariants(c):
+    """_invariants with its block system built by concatenation: the jet's c[:2] blocks and a
+    zero block gathered through _PRODUCT, and the right-hand side c[1] over 2 c[2]."""
+    m = c.shape[-1]
+    blocks = np.concatenate((c[:2].reshape(6, m, m), np.zeros((1, m, m), c.dtype)))
+    product = blocks[oracle._PRODUCT].swapaxes(1, 2).reshape(6 * m, 6 * m)
+    dh = np.concatenate((c[1], 2.0 * c[2])).reshape(6 * m, m)
+    (g00, g01, g02), (_, _, g12) = np.linalg.solve(product, dh).reshape(2, 3, m, m)
+    return np.array((g01, 2.0 * g02, 2.0 * (g12 + g00 @ g02 - g02 @ g00)))
+
+
+def test_indexed_block_system_is_bit_identical_to_the_concatenation():
+    # the block system read from the flattened jet by one cached index: same bytes as the
+    # concatenation build on the jets at 0 of every zoo kernel and on the random jets
+    jets = [oracle._jets(spec, 0.0, 3, oracle._N_DERIVATIVES, oracle._RADIUS_DERIVATIVES)
+            for _, spec in zoo_fixtures()]
+    for c in jets + connection_test_jets():
+        got, want = oracle._invariants(c), concatenated_invariants(c)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for m in (1, 2, 3):
+        assert not any(table.flags.writeable for table in oracle._system_index(m))
+
+
 def test_gathered_solve_matches_forward_substitution_and_block_toeplitz():
     for c in connection_test_jets():
         got = oracle._invariants(c)
